@@ -30,12 +30,12 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/codec.h"
+#include "core/local_table.h"
 #include "core/protocol.h"
 #include "core/pull_coalescer.h"
 #include "core/response_cache.h"
@@ -66,10 +66,8 @@ struct PullResult {
   int64_t cache_hits = 0;
 };
 
-/// The responder's T_local: `hot` vertices of the given degree.
-std::unordered_map<VertexId, VertexT> MakeLocalTable(int hot, int degree) {
-  std::unordered_map<VertexId, VertexT> table;
-  table.reserve(hot);
+/// Fills the responder's T_local with `hot` vertices of the given degree.
+void FillLocalTable(int hot, int degree, LocalTable<VertexT>* table) {
   for (int i = 0; i < hot; ++i) {
     VertexT v;
     v.id = static_cast<VertexId>(i);
@@ -77,9 +75,9 @@ std::unordered_map<VertexId, VertexT> MakeLocalTable(int hot, int degree) {
     for (int d = 0; d < degree; ++d) {
       v.value.push_back(static_cast<VertexId>(i + d + 1));
     }
-    table.emplace(v.id, std::move(v));
+    table->Add(std::move(v));
   }
-  return table;
+  table->Finalize();
 }
 
 /// One requester + one responder thread ping-ponging `rounds` pull batches.
@@ -92,7 +90,8 @@ PullResult RunPullRoundTrips(CommHub* req_hub, CommHub* resp_hub, bool pooled,
                              WireEncoding enc = WireEncoding::kRaw) {
   CommHub& hub = *req_hub;
   CommHub& rhub = *resp_hub;
-  const auto table = MakeLocalTable(hot, degree);
+  LocalTable<VertexT> table(kResponder);
+  FillLocalTable(hot, degree, &table);
   PullResult result;
 
   std::thread responder([&] {
@@ -114,14 +113,15 @@ PullResult RunPullRoundTrips(CommHub* req_hub, CommHub* resp_hub, bool pooled,
         ser.Write<uint64_t>(ids.size());
         resp.payload = TakePayload(ser);
         for (VertexId id : ids) {
-          resp.payload.Append(cache.Get(table.at(id)));
+          const uint32_t slot = table.SlotOf(id);
+          resp.payload.Append(cache.Get(slot, table[slot]));
         }
       } else {
         // Legacy: re-encode every record, then copy the buffer out into an
         // owning string (what `std::string payload` used to cost).
         ser.Write<uint64_t>(ids.size());
         for (VertexId id : ids) {
-          Codec<VertexT>::Encode(ser, table.at(id));
+          Codec<VertexT>::Encode(ser, table.At(id));
         }
         resp.payload = Payload(ser.Release());
       }

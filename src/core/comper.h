@@ -80,8 +80,9 @@ class Comper {
   ///
   /// The engine resolves the whole pull set of a task as one batch:
   /// remote pulls hit T_cache through `VertexCache::RequestBatch` (one
-  /// bucket-lock acquisition per touched bucket, not per vertex) and the
-  /// post-Compute releases go through `ReleaseBatch` the same way, so a
+  /// bucket-lock acquisition per touched bucket, not per vertex), and the
+  /// frontier lookup (`GetLockedBatch`) and post-Compute releases
+  /// (`ReleaseBatch`) go through the cache the same way, so a
   /// wide frontier costs one lock round-trip per touched bucket instead of
   /// one per pulled vertex (DESIGN.md §4 "T_cache internals").
   virtual bool Compute(TaskT* task, const Frontier& frontier) = 0;

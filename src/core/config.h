@@ -116,11 +116,6 @@ struct JobConfig {
   /// ABLATION ONLY (bench/ablation_ztable): disable the Z-table; GC then
   /// scans whole Γ-tables under the bucket lock to find evictable entries.
   bool cache_use_z_table = true;
-  /// Guard T_cache buckets with a test-and-test-and-set spinlock instead of
-  /// std::mutex. OP1–OP3 critical sections are a handful of hash operations,
-  /// so spinning beats a futex round-trip when compers don't oversubscribe
-  /// the cores by much; keep the default (mutex) when they do.
-  bool cache_spinlock = false;
 
   // ---- task management (paper §V-B) ----
   /// C: task-batch size; Q_task refills when |Q_task| <= C, back to 2C.

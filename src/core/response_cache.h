@@ -2,8 +2,8 @@
 #define GTHINKER_CORE_RESPONSE_CACHE_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "core/codec.h"
 #include "core/vertex.h"
@@ -20,6 +20,11 @@ namespace gthinker {
 /// is encoded ONCE and its slab is refcount-shared across every concurrent
 /// response batch that includes it — zero re-serialization, zero byte copies.
 ///
+/// The memo is a plain array indexed by the vertex's T_local slot
+/// (core/local_table.h): the responder already resolved the slot to find
+/// the vertex, so a memo probe is one indexed load, with no hashing. The
+/// array grows on demand to the highest slot seen.
+///
 /// Correctness: entries never go stale because T_local vertices are
 /// immutable once the graph is loaded (trimming happens before the job
 /// starts); the vertex-pull path is read-only by design (paper §IV).
@@ -29,7 +34,7 @@ namespace gthinker {
 /// copies it hands out are safe to ship cross-thread — fragment refcounts
 /// are atomic.
 ///
-/// `byte_limit` caps the memoized bytes; on overflow the whole table is
+/// `byte_limit` caps the memoized bytes; on overflow the whole memo is
 /// dropped (resets()++) and memoization restarts — trivially correct, and a
 /// full reset is fine because the working set under a mining workload is a
 /// small hot core. A limit of 0 disables memoization (records are still
@@ -44,30 +49,36 @@ class ResponseCache {
                          WireEncoding encoding = WireEncoding::kRaw)
       : byte_limit_(byte_limit), encoding_(encoding) {}
 
-  /// The serialized response record for `v` (a shared handle to the
-  /// memoized slab when cached).
-  Payload Get(const VertexT& v) {
-    if (byte_limit_ <= 0) return Encode(v);
-    auto it = table_.find(v.id);
-    if (it != table_.end()) {
-      hits_++;
-      return it->second;
+  /// The serialized response record for `v`, whose T_local slot is `slot`
+  /// (the memoized slab when cached). The reference stays valid until the
+  /// next Get.
+  const Payload& Get(uint32_t slot, const VertexT& v) {
+    if (byte_limit_ <= 0) {
+      scratch_ = Encode(v);
+      return scratch_;
     }
-    Payload rec = Encode(v);
+    if (slot >= memo_.size()) memo_.resize(static_cast<size_t>(slot) + 1);
+    Payload& rec = memo_[slot];
+    if (!rec.empty()) {
+      hits_++;
+      return rec;
+    }
+    rec = Encode(v);
     bytes_ += static_cast<int64_t>(rec.size());
     if (bytes_ > byte_limit_) {
-      table_.clear();
+      for (const uint32_t s : live_) memo_[s] = Payload();
+      live_.clear();
       bytes_ = static_cast<int64_t>(rec.size());
       resets_++;
     }
-    table_.emplace(v.id, rec);
+    live_.push_back(slot);
     return rec;
   }
 
   int64_t hits() const { return hits_; }
   int64_t resets() const { return resets_; }
   int64_t bytes() const { return bytes_; }
-  size_t entries() const { return table_.size(); }
+  size_t entries() const { return live_.size(); }
 
  private:
   Payload Encode(const VertexT& v) {
@@ -78,7 +89,9 @@ class ResponseCache {
 
   const int64_t byte_limit_;
   const WireEncoding encoding_;
-  std::unordered_map<VertexId, Payload> table_;
+  std::vector<Payload> memo_;   // by T_local slot; empty = not memoized
+  std::vector<uint32_t> live_;  // memoized slots, for the overflow reset
+  Payload scratch_;             // the unmemoized record (byte_limit 0)
   Serializer ser_;  // reused encoder (slab is taken per record)
   int64_t bytes_ = 0;
   int64_t hits_ = 0;

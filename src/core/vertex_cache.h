@@ -2,9 +2,10 @@
 #define GTHINKER_CORE_VERTEX_CACHE_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -12,11 +13,11 @@
 #include "core/vertex.h"
 #include "core/wire_codec.h"
 #include "graph/types.h"
+#include "util/flat_index.h"
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/mem_tracker.h"
 #include "util/serializer.h"
-#include "util/spinlock.h"
 #include "util/status.h"
 #include "util/timer.h"
 
@@ -37,34 +38,49 @@ class SCacheCounter {
   int64_t delta_ = 0;
 };
 
-/// The remote-vertex cache T_cache (paper §V-A, Fig. 6): an array of k hash
+/// The remote-vertex cache T_cache (paper §V-A, Fig. 6): an array of k
 /// buckets (k rounded up to a power of two so routing is a mask, not a
-/// divide), each guarded by its own lock and holding:
-///   Γ-table: cached vertices with per-vertex lock counts;
-///   Z-list:  the zero-locked (evictable) subset of Γ, kept as an intrusive
-///            doubly-linked FIFO threaded through the Γ entries themselves —
-///            lock/unlock transitions are O(1) pointer splices with no second
-///            hash lookup, and GC eviction is a pointer chase in
-///            unlock-order (oldest-idle first);
-///   R-table: requested-but-unanswered vertices, with lock counts and the IDs
-///            of tasks waiting for the response.
+/// divide), each guarded by its own mutex and holding one entry pool that
+/// plays both of the paper's per-bucket tables:
+///   Γ-table: entries in the cached state, with per-vertex lock counts;
+///   R-table: entries in the requested state (asked for, not yet answered),
+///            with lock counts and the IDs of tasks waiting for the response;
+///   Z-list:  the zero-locked (evictable) cached entries, kept as an
+///            intrusive doubly-linked FIFO threaded through the pool entries
+///            themselves — lock/unlock transitions are O(1) pointer splices
+///            with no second lookup, and GC eviction is a pointer chase in
+///            unlock-order (oldest-idle first).
+/// A vertex has at most one entry, so "in both Γ and R" cannot be
+/// represented, and OP2 is an in-place requested→cached flip: no erase, no
+/// node allocation, no free. A per-bucket FlatIndex maps a VertexId to its
+/// pool slot.
+///
+/// Pointer stability: the pool is a list of chunks that are never moved or
+/// freed while the cache lives, so an entry's address is fixed from its
+/// allocation on. A task holding a vertex lock reads the vertex through a
+/// raw pointer without the bucket lock while other threads insert into the
+/// same bucket, growing its index (which stores slots, not addresses) and
+/// its pool (which only appends chunks).
+///
 /// Operations OP1–OP4 each lock exactly one bucket, so operations on vertices
 /// hashed to different buckets proceed concurrently. The batched variants
-/// (RequestBatch / ReleaseBatch) additionally group one task's pull set by
-/// bucket and take each bucket lock once per group instead of once per
-/// vertex — the per-pull locking cost amortizes across the task's frontier.
+/// (RequestBatch / GetLockedBatch / ReleaseBatch) additionally group one
+/// task's pull set by bucket and take each bucket lock once per group
+/// instead of once per vertex — the per-pull locking cost amortizes across
+/// the task's frontier.
 ///
-/// Each Γ entry stashes its value's serialized byte size at insertion time
-/// (computed outside the bucket lock), so eviction and memory accounting
-/// never re-run Codec<VertexT>::Bytes while holding a bucket lock.
+/// Each cached entry stashes its value's serialized byte size at insertion
+/// time (computed outside the bucket lock), so eviction and memory
+/// accounting never re-run Codec<VertexT>::Bytes while holding a bucket
+/// lock.
 template <typename VertexT>
 class VertexCache {
  public:
   enum class RequestResult {
-    kHit,              // in Γ-table; lock taken; *out set (OP1 case 1)
-    kAlreadyRequested, // in R-table; task registered (OP1 case 2.2)
-    kNewRequest,       // fresh R-table entry; caller must send the request
-                       // (OP1 case 2.1)
+    kHit,              // cached; lock taken; *out set (OP1 case 1)
+    kAlreadyRequested, // requested; task registered (OP1 case 2.2)
+    kNewRequest,       // fresh requested entry; caller must send the
+                       // request (OP1 case 2.1)
   };
 
   /// Bucket-group granularity for hotspot stats: buckets are folded into
@@ -90,7 +106,7 @@ class VertexCache {
     /// Completed EvictUpTo passes (each scans up to every bucket once).
     std::atomic<int64_t> gc_passes{0};
     /// Bucket-lock acquisitions that found the lock already held (the
-    /// try_lock fast path failed and the caller had to block/spin).
+    /// try_lock fast path failed and the caller had to block).
     std::atomic<int64_t> lock_contention{0};
     GroupStats groups[kNumBucketGroups];
   };
@@ -98,12 +114,8 @@ class VertexCache {
   /// `num_buckets` is rounded up to the next power of two (so BucketIndexFor
   /// is a mask); `capacity` = c_cache (entries), `alpha` = overflow tolerance
   /// α, `counter_delta` = δ, `mem` (optional) tracks cached-value bytes.
-  /// `use_z_table = false` is the ablation: GC scans the whole Γ-table for
+  /// `use_z_table = false` is the ablation: GC scans the whole pool for
   /// unlocked entries instead of chasing the Z-list (bench/ablation_ztable).
-  /// `use_spinlock = true` guards buckets with a test-and-test-and-set
-  /// spinlock instead of std::mutex (JobConfig::cache_spinlock) — a win when
-  /// critical sections are as short as OP1–OP3 and compers outnumber cores
-  /// only modestly.
   /// `segment_shift > 0` routes by renumbered-ID segment instead of per ID:
   /// the router hashes `v >> segment_shift`, so 2^shift consecutive IDs (one
   /// LLC-sized slice of a hub-last layout, JobConfig::layout) share one
@@ -111,14 +123,12 @@ class VertexCache {
   /// the original per-ID Mix64 routing bit-identically.
   VertexCache(int num_buckets, int64_t capacity, double alpha,
               int counter_delta, MemTracker* mem = nullptr,
-              bool use_z_table = true, bool use_spinlock = false,
-              int segment_shift = 0)
+              bool use_z_table = true, int segment_shift = 0)
       : buckets_(RoundUpPow2(num_buckets)),
         capacity_(capacity),
         alpha_(alpha),
         counter_delta_(counter_delta),
         use_z_table_(use_z_table),
-        use_spinlock_(use_spinlock),
         segment_shift_(segment_shift),
         mem_(mem) {
     GT_CHECK_GT(num_buckets, 0);
@@ -137,7 +147,7 @@ class VertexCache {
 
   /// OP1: task `task_id` requests Γ(v). On kHit the vertex is locked for the
   /// caller and *out points at it (stable until the matching Release — the
-  /// lock count keeps GC away and the node-based Γ-table keeps the address).
+  /// lock count keeps GC away and the chunked pool keeps the address).
   RequestResult Request(VertexId v, uint64_t task_id, SCacheCounter* counter,
                         const VertexT** out) {
     stats_.requests.fetch_add(1, std::memory_order_relaxed);
@@ -171,10 +181,10 @@ class VertexCache {
   /// each distinct bucket lock once (ids are grouped by bucket first).
   /// Occurrence order of duplicate IDs is preserved, so semantics match n
   /// sequential Request calls exactly: each occurrence takes one vertex
-  /// lock, and every non-hit occurrence registers `task_id` once in the
-  /// R-table (the response wakes the task once per registration).
+  /// lock, and every non-hit occurrence registers `task_id` once on the
+  /// requested entry (the response wakes the task once per registration).
   /// Vertices needing a wire request are appended to *new_requests; the
-  /// number of immediate Γ hits is returned.
+  /// number of immediate hits is returned.
   int RequestBatch(const VertexId* ids, size_t n, uint64_t task_id,
                    SCacheCounter* counter,
                    std::vector<VertexId>* new_requests) {
@@ -233,43 +243,24 @@ class VertexCache {
     return total_hits;
   }
 
-  /// OP2: the receiving thread installs a response, moving v from R-table to
-  /// Γ-table with its lock count transferred. Returns the IDs of the tasks
-  /// that were waiting for v. The serialized size is computed (and the
-  /// memory tracker charged) before the bucket lock is taken.
+  /// OP2: the receiving thread installs a response, flipping v's entry from
+  /// requested to cached in place with its lock count kept. Returns the IDs
+  /// of the tasks that were waiting for v, in registration order. The
+  /// serialized size is computed (and the memory tracker charged) before
+  /// the bucket lock is taken.
   std::vector<uint64_t> InsertResponse(VertexT vertex) {
-    const VertexId v = vertex.id;
-    const int64_t bytes = Codec<VertexT>::Bytes(vertex);
-    if (mem_ != nullptr) mem_->Consume(bytes);
-    Bucket& bucket = BucketFor(v);
     std::vector<uint64_t> waiting;
-    {
-      BucketLock lock(this, bucket);
-      auto rit = bucket.rtable.find(v);
-      GT_CHECK(rit != bucket.rtable.end())
-          << "response for never-requested vertex " << v;
-      GammaEntry entry;
-      entry.id = v;
-      entry.bytes = bytes;
-      entry.lock_count = rit->second.lock_count;
-      entry.vertex = std::move(vertex);
-      waiting = std::move(rit->second.waiting);
-      bucket.rtable.erase(rit);
-      auto [git, inserted] = bucket.gamma.emplace(v, std::move(entry));
-      GT_CHECK(inserted) << "vertex " << v << " in both Γ-table and R-table";
-      if (git->second.lock_count == 0 && use_z_table_) {
-        ZPushBack(bucket, &git->second);
-      }
-    }
+    Install(std::move(vertex), &waiting);
     return waiting;
   }
 
   /// OP2, zero-copy variant: decodes one wire record (WireCodec<VertexT> in
   /// the job's comm.wire_encoding format) straight from a wire-fragment span
-  /// (the R-table fills from the span; no intermediate flatten). *consumed
-  /// reports how many bytes the record occupied so the caller can advance
-  /// its cursor; *waiting receives the task IDs that were blocked on the
-  /// vertex. Corrupted/truncated records return Status::Corruption without
+  /// (no intermediate flatten). *consumed reports how many bytes the record
+  /// occupied so the caller can advance its cursor; *waiting receives the
+  /// task IDs that were blocked on the vertex (its previous contents are
+  /// dropped and its buffer recycled into the entry for the next request).
+  /// Corrupted/truncated records return Status::Corruption without
   /// touching the tables.
   Status InsertResponseSpan(WireEncoding encoding, const char* data,
                             size_t size, size_t* consumed,
@@ -278,19 +269,34 @@ class VertexCache {
     Deserializer des(data, size);
     GT_RETURN_IF_ERROR(WireCodec<VertexT>::Decode(encoding, des, &vertex));
     *consumed = des.position();
-    *waiting = InsertResponse(std::move(vertex));
+    Install(std::move(vertex), waiting);
     return Status::Ok();
   }
 
-  /// Looks up a vertex the calling task already holds a lock on (used when a
-  /// pending task becomes ready and builds its frontier).
+  /// Looks up a vertex the calling task already holds a lock on.
   const VertexT* GetLocked(VertexId v) {
     Bucket& bucket = BucketFor(v);
     BucketLock lock(this, bucket);
-    auto git = bucket.gamma.find(v);
-    GT_CHECK(git != bucket.gamma.end()) << "GetLocked miss for vertex " << v;
-    GT_CHECK_GT(git->second.lock_count, 0);
-    return &git->second.vertex;
+    return GetLockedLocked(bucket, v);
+  }
+
+  /// GetLocked, batched: resolves `ids[0..n)` (all locked by the calling
+  /// task) into out[0..n) in input order, with one bucket-lock acquisition
+  /// per distinct bucket. Used when a ready task builds its frontier.
+  void GetLockedBatch(const VertexId* ids, size_t n, const VertexT** out) {
+    if (n == 0) return;
+    BatchScratch& s = GroupByBucket(ids, n);
+    for (const uint32_t bucket_index : s.touched) {
+      const uint32_t seg_end = s.start[bucket_index];
+      const uint32_t seg_begin = seg_end - s.count[bucket_index];
+      s.count[bucket_index] = 0;  // scratch ready for the next batch
+      Bucket& bucket = buckets_[bucket_index];
+      BucketLock lock(this, bucket);
+      for (uint32_t k = seg_begin; k < seg_end; ++k) {
+        const uint32_t pos = s.grouped[k];
+        out[pos] = GetLockedLocked(bucket, ids[pos]);
+      }
+    }
   }
 
   /// OP3: a task releases its hold after an iteration; at zero the vertex
@@ -325,8 +331,8 @@ class VertexCache {
   /// scanned once. Returns the number evicted. Single caller (the GC
   /// thread). With the Z-list (default) each bucket scan chases exactly the
   /// evictable entries in FIFO unlock order and frees the byte sizes stashed
-  /// at insertion; the ablation walks the whole Γ-table under the bucket
-  /// lock. Memory-tracker updates happen outside the lock.
+  /// at insertion; the ablation walks the whole pool under the bucket lock.
+  /// Memory-tracker updates happen outside the lock.
   int64_t EvictUpTo(int64_t target) {
     int64_t evicted = 0;
     const size_t n = buckets_.size();
@@ -341,22 +347,22 @@ class VertexCache {
         BucketLock lock(this, bucket);
         if (use_z_table_) {
           while (bucket.z_head != nullptr && evicted < target) {
-            GammaEntry* entry = bucket.z_head;
+            Entry* entry = bucket.z_head;
             GT_CHECK_EQ(entry->lock_count, 0);
             ZRemove(bucket, entry);
             bytes_freed += entry->bytes;
-            bucket.gamma.erase(entry->id);
+            Evict(bucket, entry);
             ++evicted;
           }
         } else {
-          auto git = bucket.gamma.begin();
-          while (git != bucket.gamma.end() && evicted < target) {
-            if (git->second.lock_count != 0) {
-              ++git;
+          const uint32_t slots = bucket.pool.size();
+          for (uint32_t slot = 0; slot < slots && evicted < target; ++slot) {
+            Entry& entry = bucket.pool[slot];
+            if (entry.state != EntryState::kCached || entry.lock_count != 0) {
               continue;
             }
-            bytes_freed += git->second.bytes;
-            git = bucket.gamma.erase(git);
+            bytes_freed += entry.bytes;
+            Evict(bucket, &entry);
             ++evicted;
           }
         }
@@ -385,7 +391,7 @@ class VertexCache {
     }
   }
 
-  /// Approximate |Γ-tables| + |R-tables| (paper's s_cache).
+  /// Approximate cached + requested entry count (paper's s_cache).
   int64_t ApproxSize() const {
     return s_cache_.load(std::memory_order_relaxed);
   }
@@ -412,15 +418,15 @@ class VertexCache {
     int64_t total = 0;
     for (const Bucket& bucket : buckets_) {
       BucketLock lock(this, bucket);
-      total += static_cast<int64_t>(bucket.gamma.size() +
-                                    bucket.rtable.size());
+      total += static_cast<int64_t>(bucket.index.size());
     }
     return total;
   }
 
   /// Tests/diagnostics: locks every bucket and validates the structural
-  /// invariants — no vertex in both Γ-table and R-table; the Z-list is a
-  /// consistent doubly-linked chain holding exactly the zero-locked Γ
+  /// invariants — the index maps exactly the live pool entries to their
+  /// slots; requested entries are locked and have waiters; the Z-list is a
+  /// consistent doubly-linked chain holding exactly the zero-locked cached
   /// entries (when the Z-list is enabled); every stashed byte size is
   /// non-negative. Returns the exact entry count, so callers can assert
   /// conservation in the same pass.
@@ -428,114 +434,169 @@ class VertexCache {
     int64_t total = 0;
     for (const Bucket& bucket : buckets_) {
       BucketLock lock(this, bucket);
+      size_t live = 0;
       size_t zero_locked = 0;
-      for (const auto& [v, entry] : bucket.gamma) {
-        GT_CHECK(bucket.rtable.find(v) == bucket.rtable.end())
-            << "vertex " << v << " in both Γ-table and R-table";
-        GT_CHECK_EQ(entry.id, v);
-        GT_CHECK_GE(entry.lock_count, 0);
+      for (uint32_t slot = 0; slot < bucket.pool.size(); ++slot) {
+        const Entry& entry = bucket.pool[slot];
+        GT_CHECK_EQ(entry.slot, slot);
+        if (entry.state == EntryState::kFree) {
+          GT_CHECK(!entry.in_z);
+          continue;
+        }
+        ++live;
+        GT_CHECK_EQ(bucket.index.Find(entry.id), slot)
+            << "index does not map vertex " << entry.id << " to its entry";
         GT_CHECK_GE(entry.bytes, 0);
+        if (entry.state == EntryState::kRequested) {
+          GT_CHECK_GT(entry.lock_count, 0);
+          GT_CHECK(!entry.waiting.empty());
+          GT_CHECK(!entry.in_z);
+          continue;
+        }
+        GT_CHECK_GE(entry.lock_count, 0);
         if (entry.lock_count == 0) ++zero_locked;
         if (use_z_table_) {
           GT_CHECK_EQ(entry.in_z, entry.lock_count == 0)
-              << "Z-list membership drifted for vertex " << v;
+              << "Z-list membership drifted for vertex " << entry.id;
         }
       }
+      GT_CHECK_EQ(live, bucket.index.size())
+          << "index holds IDs with no live entry";
       if (use_z_table_) {
         size_t chained = 0;
-        const GammaEntry* prev = nullptr;
-        for (const GammaEntry* e = bucket.z_head; e != nullptr;
-             e = e->z_next) {
+        const Entry* prev = nullptr;
+        for (const Entry* e = bucket.z_head; e != nullptr; e = e->z_next) {
           GT_CHECK_EQ(e->z_prev, prev);
           GT_CHECK(e->in_z);
+          GT_CHECK(e->state == EntryState::kCached);
           GT_CHECK_EQ(e->lock_count, 0);
           prev = e;
           ++chained;
         }
         GT_CHECK_EQ(bucket.z_tail, prev);
         GT_CHECK_EQ(chained, zero_locked)
-            << "Z-list does not cover the zero-locked Γ entries";
+            << "Z-list does not cover the zero-locked cached entries";
       }
-      for (const auto& [v, entry] : bucket.rtable) {
-        GT_CHECK_GT(entry.lock_count, 0);
-        GT_CHECK(!entry.waiting.empty());
-      }
-      total += static_cast<int64_t>(bucket.gamma.size() +
-                                    bucket.rtable.size());
+      total += static_cast<int64_t>(live);
     }
     return total;
   }
 
  private:
-  struct GammaEntry {
-    VertexT vertex;
+  enum class EntryState : uint8_t { kFree, kRequested, kCached };
+
+  /// One pool entry: a vertex's Γ-table row once cached, its R-table row
+  /// while requested.
+  struct Entry {
+    VertexT vertex;  // valid while kCached
+    /// Tasks blocked on the response, in registration order (kRequested).
+    std::vector<uint64_t> waiting;
     /// Serialized size per Codec<VertexT>::Bytes, stashed at insertion so
     /// eviction and accounting never serialize under the bucket lock.
     int64_t bytes = 0;
-    /// Intrusive Z-list linkage (valid only while in_z). Entry addresses are
-    /// stable: the Γ-table is node-based and never moves entries.
-    GammaEntry* z_prev = nullptr;
-    GammaEntry* z_next = nullptr;
-    VertexId id = 0;  // back-reference for Γ-table erasure during eviction
+    /// Intrusive Z-list linkage, valid only while in_z. z_next also chains
+    /// the pool's free list while kFree.
+    Entry* z_prev = nullptr;
+    Entry* z_next = nullptr;
+    VertexId id = kInvalidVertex;
+    uint32_t slot = 0;  // own pool slot (fixed at allocation)
     int32_t lock_count = 0;
+    EntryState state = EntryState::kFree;
     bool in_z = false;
   };
-  struct RequestEntry {
-    int32_t lock_count = 0;
-    std::vector<uint64_t> waiting;
-  };
-  struct Bucket {
-    mutable std::mutex mutex;
-    mutable SpinLock spin;
-    std::unordered_map<VertexId, GammaEntry> gamma;
-    std::unordered_map<VertexId, RequestEntry> rtable;
-    /// Intrusive FIFO of zero-locked Γ entries: head = oldest idle (evicted
-    /// first), tail = most recently released.
-    GammaEntry* z_head = nullptr;
-    GammaEntry* z_tail = nullptr;
+
+  /// Pointer-stable entry storage for one bucket: chunks of 8, 8, 16, 32,
+  /// ... entries, so slot → (chunk, offset) is bit arithmetic, capacity
+  /// doubles with each new chunk, and no entry ever moves. Freed entries
+  /// are recycled through an intrusive free list before the pool grows.
+  class EntryPool {
+   public:
+    Entry& operator[](uint32_t slot) { return *Locate(slot); }
+    const Entry& operator[](uint32_t slot) const { return *Locate(slot); }
+
+    /// Slots handed out so far (live + free-listed).
+    uint32_t size() const { return size_; }
+
+    Entry* Allocate() {
+      if (free_head_ != nullptr) {
+        Entry* entry = free_head_;
+        free_head_ = entry->z_next;
+        entry->z_next = nullptr;
+        return entry;
+      }
+      if (size_ == Capacity()) {
+        // Each chunk after the first doubles the capacity.
+        const uint32_t chunk_size = chunks_.empty() ? kFirstChunk : size_;
+        chunks_.push_back(std::make_unique<Entry[]>(chunk_size));
+      }
+      Entry* entry = Locate(size_);
+      entry->slot = size_++;
+      return entry;
+    }
+
+    void Free(Entry* entry) {
+      entry->z_next = free_head_;
+      free_head_ = entry;
+    }
+
+   private:
+    static constexpr uint32_t kFirstChunk = 8;  // power of two
+    static constexpr int kFirstChunkLog2 = 3;
+
+    /// Total slots across the allocated chunks: 8 · 2^(chunks − 1).
+    uint32_t Capacity() const {
+      return chunks_.empty() ? 0 : kFirstChunk << (chunks_.size() - 1);
+    }
+
+    /// Chunk 0 holds slots [0, 8); chunk c ≥ 1 holds [8·2^(c−1), 8·2^c).
+    Entry* Locate(uint32_t slot) const {
+      if (slot < kFirstChunk) return &chunks_[0][slot];
+      const int c = std::bit_width(slot) - kFirstChunkLog2;
+      return &chunks_[c][slot - (uint32_t{1} << (c + kFirstChunkLog2 - 1))];
+    }
+
+    std::vector<std::unique_ptr<Entry[]>> chunks_;
+    uint32_t size_ = 0;
+    Entry* free_head_ = nullptr;
   };
 
-  /// RAII bucket guard dispatching on the cache-wide lock flavor. The
-  /// try_lock-first acquisition feeds the lock_contention counter without
-  /// adding an atomic RMW to the uncontended path.
+  /// Cache-line aligned so neighbouring buckets' mutexes do not share a
+  /// line between threads working on different buckets.
+  struct alignas(64) Bucket {
+    mutable std::mutex mutex;
+    FlatIndex index;  // VertexId -> pool slot, live entries only
+    EntryPool pool;
+    /// Intrusive FIFO of zero-locked cached entries: head = oldest idle
+    /// (evicted first), tail = most recently released.
+    Entry* z_head = nullptr;
+    Entry* z_tail = nullptr;
+  };
+
+  /// RAII bucket guard. The try_lock-first acquisition feeds the
+  /// lock_contention counter without adding an atomic RMW to the
+  /// uncontended path.
   class BucketLock {
    public:
     BucketLock(const VertexCache* cache, const Bucket& bucket)
-        : bucket_(bucket), spin_(cache->use_spinlock_) {
-      if (spin_) {
-        if (!bucket_.spin.try_lock()) {
-          cache->stats_.lock_contention.fetch_add(1,
-                                                  std::memory_order_relaxed);
-          bucket_.spin.lock();
-        }
-      } else {
-        if (!bucket_.mutex.try_lock()) {
-          cache->stats_.lock_contention.fetch_add(1,
-                                                  std::memory_order_relaxed);
-          bucket_.mutex.lock();
-        }
+        : mutex_(bucket.mutex) {
+      if (!mutex_.try_lock()) {
+        cache->stats_.lock_contention.fetch_add(1, std::memory_order_relaxed);
+        mutex_.lock();
       }
     }
 
-    ~BucketLock() {
-      if (spin_) {
-        bucket_.spin.unlock();
-      } else {
-        bucket_.mutex.unlock();
-      }
-    }
+    ~BucketLock() { mutex_.unlock(); }
 
     BucketLock(const BucketLock&) = delete;
     BucketLock& operator=(const BucketLock&) = delete;
 
    private:
-    const Bucket& bucket_;
-    const bool spin_;
+    std::mutex& mutex_;
   };
 
   // ---- intrusive Z-list splices (bucket lock held) ----
 
-  static void ZPushBack(Bucket& bucket, GammaEntry* entry) {
+  static void ZPushBack(Bucket& bucket, Entry* entry) {
     entry->z_prev = bucket.z_tail;
     entry->z_next = nullptr;
     entry->in_z = true;
@@ -547,7 +608,7 @@ class VertexCache {
     bucket.z_tail = entry;
   }
 
-  static void ZRemove(Bucket& bucket, GammaEntry* entry) {
+  static void ZRemove(Bucket& bucket, Entry* entry) {
     if (entry->z_prev != nullptr) {
       entry->z_prev->z_next = entry->z_next;
     } else {
@@ -563,39 +624,87 @@ class VertexCache {
     entry->in_z = false;
   }
 
+  /// The live entry for `v`, or null (bucket lock held).
+  Entry* FindLocked(Bucket& bucket, VertexId v) {
+    const uint32_t slot = bucket.index.Find(v);
+    return slot == FlatIndex::kAbsent ? nullptr : &bucket.pool[slot];
+  }
+
   /// OP1 core, bucket lock held. On kHit the vertex lock is taken and *out
   /// set (out is never null; batch callers pass a scratch slot).
   RequestResult RequestLocked(Bucket& bucket, VertexId v, uint64_t task_id,
                               const VertexT** out) {
-    auto git = bucket.gamma.find(v);
-    if (git != bucket.gamma.end()) {
-      GammaEntry& entry = git->second;
-      if (entry.lock_count == 0 && use_z_table_) ZRemove(bucket, &entry);
-      ++entry.lock_count;
-      *out = &entry.vertex;
-      return RequestResult::kHit;
-    }
-    auto rit = bucket.rtable.find(v);
-    if (rit != bucket.rtable.end()) {
-      ++rit->second.lock_count;
-      rit->second.waiting.push_back(task_id);
+    if (Entry* entry = FindLocked(bucket, v)) {
+      if (entry->state == EntryState::kCached) {
+        if (entry->lock_count == 0 && use_z_table_) ZRemove(bucket, entry);
+        ++entry->lock_count;
+        *out = &entry->vertex;
+        return RequestResult::kHit;
+      }
+      ++entry->lock_count;
+      entry->waiting.push_back(task_id);
       return RequestResult::kAlreadyRequested;
     }
-    RequestEntry entry;
-    entry.lock_count = 1;
-    entry.waiting.push_back(task_id);
-    bucket.rtable.emplace(v, std::move(entry));
+    Entry* entry = bucket.pool.Allocate();
+    entry->id = v;
+    entry->state = EntryState::kRequested;
+    entry->lock_count = 1;
+    entry->waiting.push_back(task_id);
+    bucket.index.Insert(v, entry->slot);
     return RequestResult::kNewRequest;
+  }
+
+  /// OP2 core: the requested→cached flip. Tracker charge and byte size are
+  /// computed before the lock; *waiting takes the entry's waiter list.
+  void Install(VertexT vertex, std::vector<uint64_t>* waiting) {
+    const VertexId v = vertex.id;
+    const int64_t bytes = Codec<VertexT>::Bytes(vertex);
+    if (mem_ != nullptr) mem_->Consume(bytes);
+    Bucket& bucket = BucketFor(v);
+    waiting->clear();
+    BucketLock lock(this, bucket);
+    Entry* entry = FindLocked(bucket, v);
+    GT_CHECK(entry != nullptr) << "response for never-requested vertex " << v;
+    GT_CHECK(entry->state == EntryState::kRequested)
+        << "vertex " << v << " in both Γ-table and R-table (response for a "
+        << "cached vertex)";
+    entry->vertex = std::move(vertex);
+    entry->bytes = bytes;
+    entry->state = EntryState::kCached;
+    // Swap rather than move: the caller's (cleared) buffer stays with the
+    // entry, so its next request registers waiters without allocating.
+    waiting->swap(entry->waiting);
+    if (entry->lock_count == 0 && use_z_table_) ZPushBack(bucket, entry);
+  }
+
+  /// GetLocked core, bucket lock held.
+  const VertexT* GetLockedLocked(Bucket& bucket, VertexId v) {
+    const Entry* entry = FindLocked(bucket, v);
+    GT_CHECK(entry != nullptr && entry->state == EntryState::kCached)
+        << "GetLocked miss for vertex " << v;
+    GT_CHECK_GT(entry->lock_count, 0);
+    return &entry->vertex;
   }
 
   /// OP3 core, bucket lock held.
   void ReleaseLocked(Bucket& bucket, VertexId v) {
-    auto git = bucket.gamma.find(v);
-    GT_CHECK(git != bucket.gamma.end()) << "release of uncached vertex " << v;
-    GT_CHECK_GT(git->second.lock_count, 0);
-    if (--git->second.lock_count == 0 && use_z_table_) {
-      ZPushBack(bucket, &git->second);
-    }
+    Entry* entry = FindLocked(bucket, v);
+    GT_CHECK(entry != nullptr && entry->state == EntryState::kCached)
+        << "release of uncached vertex " << v;
+    GT_CHECK_GT(entry->lock_count, 0);
+    if (--entry->lock_count == 0 && use_z_table_) ZPushBack(bucket, entry);
+  }
+
+  /// Returns a zero-locked cached entry (already off the Z-list) to the
+  /// pool's free list, bucket lock held. The vertex value is reset so its
+  /// heap storage is released now, not when the slot is reused.
+  static void Evict(Bucket& bucket, Entry* entry) {
+    GT_CHECK(bucket.index.Erase(entry->id));
+    entry->vertex = VertexT();
+    entry->bytes = 0;
+    entry->id = kInvalidVertex;
+    entry->state = EntryState::kFree;
+    bucket.pool.Free(entry);
   }
 
   /// Per-thread scratch for the batched ops. The per-bucket arrays are sized
@@ -679,7 +788,6 @@ class VertexCache {
   const double alpha_;
   const int counter_delta_;
   const bool use_z_table_;
-  const bool use_spinlock_;
   const int segment_shift_ = 0;
   MemTracker* mem_;
   std::atomic<int64_t> s_cache_{0};

@@ -19,6 +19,7 @@
 #include "core/codec.h"
 #include "core/comper.h"
 #include "core/config.h"
+#include "core/local_table.h"
 #include "core/protocol.h"
 #include "core/pull_coalescer.h"
 #include "core/response_cache.h"
@@ -63,9 +64,10 @@ class Worker {
         hub_(hub),
         trimmer_(std::move(trimmer)),
         spill_dir_(std::move(spill_dir)),
+        local_(worker_id),
         cache_(config.cache_num_buckets, config.cache_capacity,
                config.cache_overflow_alpha, config.cache_counter_delta,
-               &mem_, config.cache_use_z_table, config.cache_spinlock,
+               &mem_, config.cache_use_z_table,
                config.layout.cache_segment_shift),
         coalescer_(config.num_workers, config.comm.request_batch_size,
                    config.comm.request_flush_bytes),
@@ -133,15 +135,14 @@ class Worker {
   void AddLocalVertex(VertexT v) {
     if (trimmer_) trimmer_(v);
     GT_CHECK_EQ(OwnerOf(v.id, config_.num_workers), id_);
-    const VertexId id = v.id;
-    local_.emplace(id, std::move(v));
-    spawn_order_.push_back(id);
+    local_.Add(std::move(v));
   }
 
-  /// Sorts the spawn order; call once after all AddLocalVertex calls.
+  /// Puts T_local in ID order (the spawn order) and indexes it; call once
+  /// after all AddLocalVertex calls.
   void FinalizeLoad() {
-    std::sort(spawn_order_.begin(), spawn_order_.end());
-    mem_.Consume(LocalTableBytes());
+    local_.Finalize();
+    mem_.Consume(local_.Bytes());
   }
 
   /// Pre-seeds state from a checkpoint blob (see EncodeCheckpoint). Restored
@@ -227,7 +228,7 @@ class Worker {
   int64_t PeakMemBytes() const { return mem_.peak(); }
   const VertexCache<VertexT>& cache() const { return cache_; }
   AggregatorState<ComperT>& aggregator() { return agg_; }
-  size_t NumLocalVertices() const { return spawn_order_.size(); }
+  size_t NumLocalVertices() const { return local_.size(); }
 
  private:
   // =======================================================================
@@ -482,21 +483,21 @@ class Worker {
 
     /// Spawns one batch of new tasks from T_local; false when exhausted.
     bool SpawnBatch() {
-      std::vector<VertexId> to_spawn;
-      worker_->ClaimSpawnBatch(worker_->config_.task_batch_size, &to_spawn);
-      if (to_spawn.empty()) {
+      const auto [begin, end] =
+          worker_->ClaimSpawnRange(worker_->config_.task_batch_size);
+      if (begin == end) {
         if (!spawn_flushed_) {
           spawn_flushed_ = true;
           user_->SpawnFlush();  // emit any partially-bundled task
         }
         return false;
       }
-      for (VertexId v : to_spawn) {
-        user_->TaskSpawn(worker_->local_.at(v));  // UDF; calls AddTask
+      for (size_t slot = begin; slot < end; ++slot) {
+        user_->TaskSpawn(worker_->local_[slot]);  // UDF; calls AddTask
       }
-      worker_->refill_spawn_tasks_->Add(static_cast<int64_t>(to_spawn.size()));
+      worker_->refill_spawn_tasks_->Add(static_cast<int64_t>(end - begin));
       worker_->Flight(obs::FlightKind::kSpawnBatch, index_,
-                      static_cast<int64_t>(to_spawn.size()));
+                      static_cast<int64_t>(end - begin));
       return true;
     }
 
@@ -526,7 +527,9 @@ class Worker {
                                           std::memory_order_relaxed);
         worker_->Trace(index_, TaskEvent::kSpilledBatch);
         if (phase_spill_ != nullptr) {
-          phase_spill_->Add(spill_timer.ElapsedMicros());
+          const int64_t us = spill_timer.ElapsedMicros();
+          phase_spill_->Add(us);
+          spill_us_ += us;
         }
         worker_->Flight(obs::FlightKind::kSpillWrite, index_,
                         static_cast<int64_t>(batch));
@@ -606,22 +609,41 @@ class Worker {
       // per iteration).
       const std::vector<VertexId> pulls = task->TakePulls();
       worker_->mem_.Consume(task->MemoryBytes());
-      typename ComperT::Frontier frontier;
-      frontier.reserve(pulls.size());
-      for (VertexId v : pulls) {
+      // Local pulls index T_local; the remote ones (all locked for this
+      // task) resolve in one bucket-grouped batch and scatter back to their
+      // pull positions.
+      typename ComperT::Frontier frontier(pulls.size());
+      remote_scratch_.clear();
+      remote_pos_.clear();
+      for (size_t i = 0; i < pulls.size(); ++i) {
+        const VertexId v = pulls[i];
         if (worker_->IsLocal(v)) {
-          frontier.push_back(&worker_->local_.at(v));
+          frontier[i] = &worker_->local_.At(v);
         } else {
-          frontier.push_back(worker_->cache_.GetLocked(v));
+          remote_scratch_.push_back(v);
+          remote_pos_.push_back(static_cast<uint32_t>(i));
         }
+      }
+      remote_ptrs_.resize(remote_scratch_.size());
+      worker_->cache_.GetLockedBatch(remote_scratch_.data(),
+                                     remote_scratch_.size(),
+                                     remote_ptrs_.data());
+      for (size_t j = 0; j < remote_pos_.size(); ++j) {
+        frontier[remote_pos_[j]] = remote_ptrs_[j];
       }
       split_requested_ = false;
       iter_timer_.Restart();
+      const int64_t spill_us_before = spill_us_;
       Timer compute_timer;
       const bool more = user_->Compute(task.get(), frontier);
       const int64_t compute_us = compute_timer.ElapsedMicros();
       compute_us_->Record(compute_us);
-      if (phase_compute_ != nullptr) phase_compute_->Add(compute_us);
+      if (phase_compute_ != nullptr) {
+        // An AddTask that overflows Q_task spills inside Compute(); that
+        // time is already in phase.spill_us, so the ledger takes it out of
+        // compute to keep the phases disjoint.
+        phase_compute_->Add(compute_us - (spill_us_ - spill_us_before));
+      }
       worker_->Trace(index_, TaskEvent::kExecuted);
       if (worker_->spans_ != nullptr) {
         // Stamp the slice at its start so the viewer draws [start, start+dur].
@@ -631,7 +653,8 @@ class Worker {
       task->BumpIteration();
       worker_->mem_.Release(task->MemoryBytes());
       // Batched OP3: one lock acquisition per distinct bucket.
-      CollectRemotePulls(pulls);
+      // remote_scratch_ still holds this iteration's remote pulls: Compute()
+      // runs no pull resolution on this thread.
       worker_->cache_.ReleaseBatch(remote_scratch_.data(),
                                    remote_scratch_.size());
       worker_->task_iterations_.fetch_add(1, std::memory_order_relaxed);
@@ -699,8 +722,16 @@ class Worker {
     const int index_;
     std::unique_ptr<ComperT> user_;
     SCacheCounter counter_;
-    std::vector<VertexId> remote_scratch_;       // comper thread only
+    // Pull-resolution scratch, comper thread only: the remote pulls of the
+    // current task, their frontier positions, and their cached vertices.
+    std::vector<VertexId> remote_scratch_;
+    std::vector<uint32_t> remote_pos_;
+    std::vector<const VertexT*> remote_ptrs_;
     std::vector<VertexId> new_request_scratch_;  // comper thread only
+    /// Running total of this comper's Q_task-overflow spill time (µs), so
+    /// ExecuteIteration can take the spills inside Compute() out of the
+    /// compute phase.
+    int64_t spill_us_ = 0;
 
     // Split plumbing: all comper-thread-confined. iter_timer_ restarts at
     // each Compute() call; the app polls IterationBudgetExceeded against it.
@@ -890,29 +921,20 @@ class Worker {
     if (!to_flush.empty()) FlushOutputBatch(to_flush);
   }
 
-  int64_t LocalTableBytes() const {
-    int64_t bytes = 0;
-    for (const auto& [id, vertex] : local_) {
-      bytes += Codec<VertexT>::Bytes(vertex) + 16;
-    }
-    return bytes;
-  }
-
-  /// Atomically claims up to `count` not-yet-spawned local vertices.
-  void ClaimSpawnBatch(size_t count, std::vector<VertexId>* out) {
-    out->clear();
-    const size_t total = spawn_order_.size();
+  /// Atomically claims up to `count` not-yet-spawned local vertices as the
+  /// T_local slot range [first, second) (empty when spawning is done).
+  std::pair<size_t, size_t> ClaimSpawnRange(size_t count) {
+    const size_t total = local_.size();
     size_t begin = next_spawn_.fetch_add(count, std::memory_order_relaxed);
     if (begin >= total) {
       next_spawn_.store(total, std::memory_order_relaxed);
-      return;
+      return {total, total};
     }
-    const size_t end = std::min(begin + count, total);
-    out->assign(spawn_order_.begin() + begin, spawn_order_.begin() + end);
+    return {begin, std::min(begin + count, total)};
   }
 
   bool SpawnDone() const {
-    return next_spawn_.load(std::memory_order_relaxed) >= spawn_order_.size();
+    return next_spawn_.load(std::memory_order_relaxed) >= local_.size();
   }
 
   /// Queues a vertex pull for batched sending (paper: requests are batched
@@ -1096,10 +1118,8 @@ class Worker {
         MessageBatch resp;
         resp.payload = TakePayload(header);
         for (VertexId v : ids) {
-          auto it = local_.find(v);
-          GT_CHECK(it != local_.end())
-              << "request for vertex " << v << " not owned by worker " << id_;
-          resp.payload.Append(resp_cache_.Get(it->second));
+          const uint32_t slot = local_.SlotOf(v);  // not-owned is fatal
+          resp.payload.Append(resp_cache_.Get(slot, local_[slot]));
         }
         resp.src_worker = id_;
         resp.dst_worker = mb.src_worker;
@@ -1224,12 +1244,13 @@ class Worker {
       GT_CHECK_EQ(static_cast<int64_t>(records.size()), file->records)
           << "spill file " << file->path << " record count drifted";
     } else {
-      std::vector<VertexId> to_spawn;
-      ClaimSpawnBatch(config_.task_batch_size, &to_spawn);
-      if (!to_spawn.empty()) {
+      const auto [begin, end] = ClaimSpawnRange(config_.task_batch_size);
+      if (begin != end) {
         std::lock_guard<std::mutex> lock(steal_mutex_);
         steal_runtime_->SetSink(&records);
-        for (VertexId v : to_spawn) steal_comper_->TaskSpawn(local_.at(v));
+        for (size_t slot = begin; slot < end; ++slot) {
+          steal_comper_->TaskSpawn(local_[slot]);
+        }
         // Close any partial bundle per donation batch so no spawned state
         // is ever stranded in the steal comper.
         steal_comper_->SpawnFlush();
@@ -1321,9 +1342,8 @@ class Worker {
     size_t queued = 0;
     for (const auto& engine : engines_) queued += engine->QueueSize();
     const size_t unspawned =
-        spawn_order_.size() -
-        std::min(next_spawn_.load(std::memory_order_relaxed),
-                 spawn_order_.size());
+        local_.size() -
+        std::min(next_spawn_.load(std::memory_order_relaxed), local_.size());
     // Exact disk-resident task count (restore tails and partial steal-spawn
     // bundles are smaller than a full batch), so PlanSteals compares donors
     // by real backlog instead of a files-times-batch-size overestimate.
@@ -1641,8 +1661,7 @@ class Worker {
   TrimmerFn trimmer_;
   const std::string spill_dir_;
 
-  std::unordered_map<VertexId, VertexT> local_;  // T_local
-  std::vector<VertexId> spawn_order_;
+  LocalTable<VertexT> local_;  // T_local, in ID (= spawn) order
   std::atomic<size_t> next_spawn_{0};
 
   MemTracker mem_;

@@ -111,13 +111,20 @@ class Payload {
   bool IsFlat() const { return frags_.size() <= 1; }
 
   /// Splices `other`'s fragments onto the tail (refcount shares, no copy).
-  void Append(Payload other) {
+  void Append(Payload&& other) {
     for (Fragment& f : other.frags_) {
       size_ += f.len;
       frags_.push_back(std::move(f));
     }
     other.frags_.clear();
     other.size_ = 0;
+  }
+
+  /// Shares `other`'s fragments onto the tail (one refcount bump per
+  /// fragment, no byte copy); `other` is left intact.
+  void Append(const Payload& other) {
+    frags_.insert(frags_.end(), other.frags_.begin(), other.frags_.end());
+    size_ += other.size_;
   }
 
   /// Copies the logical stream into an owning string (tests, diagnostics).

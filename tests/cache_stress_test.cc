@@ -1,5 +1,5 @@
 // Multithreaded stress for the T_cache hot path (batched OP1/OP3, intrusive
-// Z-list, spinlock mode) and the async spill pipeline. Runs under the
+// Z-list, in-place R→Γ flips) and the async spill pipeline. Runs under the
 // GT_SANITIZE=thread CI job: TSan must see no races between concurrent
 // RequestBatch/ReleaseBatch/InsertResponse/EvictUpTo, and the conservation
 // checks below must hold exactly.
@@ -37,9 +37,9 @@ VertexT MakeVertex(VertexId id) {
 /// threads, with a GC thread evicting concurrently. Afterwards ExactSize()
 /// must match the committed insert/evict counters and CheckInvariants()
 /// must find no entry in both Γ and R and a consistent Z-list.
-void RunStress(bool use_spinlock, bool use_z_table) {
+void RunStress(bool use_z_table) {
   Cache cache(/*buckets=*/32, /*capacity=*/300, /*alpha=*/0.2, /*delta=*/5,
-              nullptr, use_z_table, use_spinlock);
+              nullptr, use_z_table);
   constexpr int kThreads = 4;
   constexpr int kVertices = 150;
   constexpr int kRounds = 1500;
@@ -191,9 +191,167 @@ void RunStress(bool use_spinlock, bool use_z_table) {
   EXPECT_EQ(cache.ApproxSize(), 0);
 }
 
-TEST(CacheStress, MutexZList) { RunStress(false, true); }
-TEST(CacheStress, SpinlockZList) { RunStress(true, true); }
-TEST(CacheStress, MutexFullScan) { RunStress(false, false); }
+TEST(CacheStress, MutexZList) { RunStress(true); }
+TEST(CacheStress, MutexFullScan) { RunStress(false); }
+
+/// Pointer stability: a task holds a locked vertex's pointer and reads it
+/// without the bucket lock (a frontier during Compute) while another thread
+/// inserts thousands of responses into the same bucket — growing its index
+/// many times and its pool by many chunks. The held entry must never move;
+/// under GT_SANITIZE=address a moved entry is a heap-use-after-free on the
+/// reader side, under thread a data race.
+TEST(CacheStress, LockedVertexSurvivesBucketGrowth) {
+  Cache cache(/*buckets=*/1, /*capacity=*/100'000, 0.2, 5);
+  SCacheCounter held_ctr;
+  const VertexT* unused = nullptr;
+  ASSERT_EQ(cache.Request(7, 1, &held_ctr, &unused),
+            Cache::RequestResult::kNewRequest);
+  cache.InsertResponse(MakeVertex(7));
+  const VertexT* held = cache.GetLocked(7);
+  const AdjList expected = held->value;
+
+  constexpr VertexId kInserted = 5000;
+  std::atomic<bool> reading{false};
+  std::atomic<bool> done{false};
+  std::thread grower([&] {
+    while (!reading.load()) {
+    }
+    SCacheCounter ctr;
+    const VertexT* out = nullptr;
+    for (VertexId v = 100; v < 100 + kInserted; ++v) {
+      EXPECT_EQ(cache.Request(v, v, &ctr, &out),
+                Cache::RequestResult::kNewRequest);
+      cache.InsertResponse(MakeVertex(v));
+      if (v % 2 == 0) cache.Release(v);
+    }
+    cache.FlushCounter(&ctr);
+    done.store(true);
+  });
+  reading.store(true);
+  bool intact = true;
+  while (!done.load()) {
+    intact = intact && held->id == 7u && held->value == expected;
+  }
+  grower.join();
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(cache.GetLocked(7), held);
+  EXPECT_EQ(held->value, expected);
+  cache.Release(7);
+  EXPECT_EQ(cache.CheckInvariants(), 1 + int64_t{kInserted});
+}
+
+/// OP2 flips the requested entry to cached in place and hands back the
+/// waiting task IDs in the order the tasks registered — single Requests
+/// and batched ones, duplicates included — on both insert paths.
+TEST(CacheStress, FlipReturnsWaitersInArrivalOrder) {
+  Cache cache(/*buckets=*/4, /*capacity=*/100, 0.2, 1);
+  SCacheCounter ctr;
+  const VertexT* out = nullptr;
+  std::vector<VertexId> fresh;
+  EXPECT_EQ(cache.Request(11, 50, &ctr, &out),
+            Cache::RequestResult::kNewRequest);
+  EXPECT_EQ(cache.Request(11, 3, &ctr, &out),
+            Cache::RequestResult::kAlreadyRequested);
+  const std::vector<VertexId> batch = {12, 11, 11};
+  EXPECT_EQ(cache.RequestBatch(batch.data(), batch.size(), 9, &ctr, &fresh),
+            0);
+  EXPECT_EQ(cache.Request(11, 1, &ctr, &out),
+            Cache::RequestResult::kAlreadyRequested);
+  EXPECT_EQ(fresh, std::vector<VertexId>{12});
+  EXPECT_EQ(cache.InsertResponse(MakeVertex(11)),
+            (std::vector<uint64_t>{50, 3, 9, 9, 1}));
+
+  // The span path into a reused (dirty) caller buffer.
+  Serializer ser;
+  WireCodec<VertexT>::Encode(WireEncoding::kRaw, ser, MakeVertex(12));
+  const std::string rec = ser.Release();
+  std::vector<uint64_t> waiting = {777, 778};
+  size_t consumed = 0;
+  ASSERT_TRUE(cache
+                  .InsertResponseSpan(WireEncoding::kRaw, rec.data(),
+                                      rec.size(), &consumed, &waiting)
+                  .ok());
+  EXPECT_EQ(consumed, rec.size());
+  EXPECT_EQ(waiting, std::vector<uint64_t>{9});
+
+  // Both are cached now, holding one lock per registration.
+  EXPECT_EQ(cache.GetLocked(11)->value, MakeVertex(11).value);
+  EXPECT_EQ(cache.GetLocked(12)->value, MakeVertex(12).value);
+  EXPECT_EQ(cache.CheckInvariants(), 2);
+  EXPECT_EQ(cache.EvictUpTo(10), 0);  // all locked
+  for (int i = 0; i < 5; ++i) cache.Release(11);
+  cache.Release(12);
+  EXPECT_EQ(cache.EvictUpTo(10), 2);
+}
+
+/// Eviction takes only zero-locked cached entries, on both GC paths, while
+/// a concurrent thread keeps locking, reading and unlocking a rotating
+/// window of the same vertices. Requested-but-unanswered entries are never
+/// evicted either.
+void RunEvictOnlyUnlocked(bool use_z_table) {
+  Cache cache(/*buckets=*/8, /*capacity=*/10'000, 0.2, 1, nullptr,
+              use_z_table);
+  constexpr VertexId kCached = 400;
+  SCacheCounter ctr;
+  const VertexT* out = nullptr;
+  for (VertexId v = 0; v < kCached; ++v) {
+    cache.Request(v, v, &ctr, &out);
+    cache.InsertResponse(MakeVertex(v));
+    if (v % 3 == 0) cache.Release(v);  // 1/3 evictable from the start
+  }
+  // Requested, never answered: must survive every eviction pass.
+  for (VertexId v = 1000; v < 1010; ++v) cache.Request(v, v, &ctr, &out);
+
+  std::atomic<bool> stop{false};
+  std::thread churn([&] {
+    SCacheCounter tctr;
+    std::vector<VertexId> fresh;
+    std::vector<VertexId> pulls;
+    std::vector<const VertexT*> ptrs;
+    for (int round = 0; !stop.load(); ++round) {
+      // Only the still-locked residue (v % 3 != 0) is guaranteed cached.
+      pulls.clear();
+      for (int k = 0; k < 8; ++k) {
+        pulls.push_back(
+            static_cast<VertexId>(3 * ((round * 13 + k * 29) % 133) + 1));
+      }
+      fresh.clear();
+      ASSERT_EQ(cache.RequestBatch(pulls.data(), pulls.size(), 1, &tctr,
+                                   &fresh),
+                static_cast<int>(pulls.size()));
+      ptrs.assign(pulls.size(), nullptr);
+      cache.GetLockedBatch(pulls.data(), pulls.size(), ptrs.data());
+      for (size_t i = 0; i < pulls.size(); ++i) {
+        ASSERT_EQ(ptrs[i]->id, pulls[i]);
+      }
+      cache.ReleaseBatch(pulls.data(), pulls.size());
+    }
+    cache.FlushCounter(&tctr);
+  });
+  int64_t evicted = 0;
+  for (int pass = 0; pass < 200; ++pass) evicted += cache.EvictUpTo(3);
+  stop.store(true);
+  churn.join();
+  evicted += cache.EvictUpTo(kCached);
+  EXPECT_EQ(evicted, (kCached + 2) / 3);
+  for (VertexId v = 0; v < kCached; ++v) {
+    if (v % 3 == 0) {
+      EXPECT_EQ(cache.Request(v, 2, &ctr, &out),
+                Cache::RequestResult::kNewRequest)
+          << "v " << v;
+    } else {
+      EXPECT_EQ(cache.GetLocked(v)->id, v);
+    }
+  }
+  for (VertexId v = 1000; v < 1010; ++v) {
+    EXPECT_EQ(cache.Request(v, 3, &ctr, &out),
+              Cache::RequestResult::kAlreadyRequested);
+  }
+  cache.CheckInvariants();
+}
+
+TEST(CacheStress, ZListEvictsOnlyUnlocked) { RunEvictOnlyUnlocked(true); }
+TEST(CacheStress, FullScanEvictsOnlyUnlocked) { RunEvictOnlyUnlocked(false); }
 
 /// Async spill pipeline stress: a producer submits batches and a consumer
 /// fetches them back through every path (pending mem-hit, in-flight wait,

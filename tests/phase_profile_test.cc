@@ -176,6 +176,80 @@ TEST(PhaseProfileE2E, RealRunAccountsForComperWallTime) {
   }
 }
 
+/// Expands each root into a `fanout`-ary tree of `depth` levels entirely
+/// from Compute(): every call only AddTask()s, so with a tiny Q_task nearly
+/// all of its time is AddToQueue spilling the queue tail to disk.
+class SpillInComputeComper
+    : public Comper<Task<AdjList, std::vector<uint32_t>>, uint64_t> {
+ public:
+  void TaskSpawn(const VertexT& v) override {
+    if (v.id % 8 != 0) return;
+    AddTask(MakeTask(0));
+  }
+
+  bool Compute(TaskT* task, const Frontier&) override {
+    const uint32_t level = task->context().front();
+    if (level == kDepth) {
+      Aggregate(1);
+      return false;
+    }
+    for (int i = 0; i < kFanout; ++i) AddTask(MakeTask(level + 1));
+    return false;
+  }
+
+  static AggT AggZero() { return 0; }
+  static AggT AggMerge(AggT a, AggT b) { return a + b; }
+
+  static constexpr uint32_t kDepth = 4;
+  static constexpr int kFanout = 4;
+
+ private:
+  static std::unique_ptr<TaskT> MakeTask(uint32_t level) {
+    auto task = std::make_unique<TaskT>();
+    // Padding makes each spilled record a few hundred bytes.
+    task->context().assign(64, 0);
+    task->context().front() = level;
+    return task;
+  }
+};
+
+// Regression: a Compute() whose AddTask overflows Q_task spills inside the
+// compute timer. That spill time belongs to phase.spill_us only; counted in
+// compute as well, the named phases exceeded the loop time and `other` was
+// clamped at zero.
+TEST(PhaseProfileE2E, SpillInsideComputeIsNotDoubleCounted) {
+  Graph g(64);
+  g.Finalize();
+  Job<SpillInComputeComper> job;
+  job.config.num_workers = 2;
+  job.config.compers_per_worker = 2;
+  job.config.task_batch_size = 2;
+  job.config.task_queue_capacity_batches = 2;
+  job.config.spill_async = false;  // the spill write runs inside AddTask
+  job.config.enable_stealing = false;
+  job.graph = &g;
+  job.comper_factory = [] { return std::make_unique<SpillInComputeComper>(); };
+  auto result = Cluster<SpillInComputeComper>::Run(job);
+  // 8 roots (ids 0, 8, ..., 56), each with 4^4 leaves.
+  EXPECT_EQ(result.result, 8u * 256u);
+  ASSERT_GT(result.stats.spilled_batches, 0);
+
+  const obs::PhaseProfile& phases = result.stats.phases;
+  ASSERT_EQ(phases.per_comper.size(), 4u);
+  int64_t spill_total = 0;
+  for (const obs::PhaseBreakdown& row : phases.per_comper) {
+    // Never clamped: the named phases fit inside the loop wall time, so
+    // `other` is the true remainder.
+    EXPECT_LE(row.NamedSum(), row.total_us)
+        << "w" << row.worker << ".c" << row.comper;
+    EXPECT_EQ(row.NamedSum() + row.other_us, row.total_us)
+        << "w" << row.worker << ".c" << row.comper;
+    EXPECT_EQ(row.other_us, row.total_us - row.NamedSum());
+    spill_total += row.spill_us;
+  }
+  EXPECT_GT(spill_total, 0);
+}
+
 TEST(PhaseProfileE2E, DisabledKnobYieldsEmptyProfile) {
   static Graph g = Generator::ErdosRenyi(100, 400, 551);
   Job<TriangleComper> job;
