@@ -6,6 +6,7 @@
 #include <chrono>
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -15,7 +16,7 @@
 #include "core/codec.h"
 #include "core/config.h"
 #include "core/job_report.h"
-#include "core/protocol.h"
+#include "core/master.h"
 #include "core/worker.h"
 #include "graph/graph.h"
 #include "graph/layout.h"
@@ -121,11 +122,12 @@ inline void MapResultToOriginalIds(std::vector<VertexId>* result,
   std::sort(result->begin(), result->end());
 }
 
-/// The job driver. Owns the hub and the N workers, plays the master role
-/// (paper §V-B): receives progress reports, synchronizes the aggregator,
-/// plans work stealing, coordinates checkpoints, and detects termination
-/// (all workers idle and the data-message flow balanced, stable across two
-/// consecutive global snapshots).
+/// Runs jobs: one rank runtime over a pluggable hub. `Run` hosts every
+/// worker plus the master (core/master.h) in this process over in-process
+/// mailboxes; `RunDistributed` hosts one worker rank per OS process over
+/// TCP, with the master on rank 0. Layout, loading, restore, the master
+/// loop, the drain, observability and the artifacts are one code path; only
+/// building the hub and the TCP entry checks differ.
 template <typename ComperT>
 class Cluster {
  public:
@@ -134,10 +136,39 @@ class Cluster {
   using AggT = typename ComperT::AggT;
   using VertexT = typename TaskT::VertexT;
 
-  static RunResult<ComperT> Run(const Job<ComperT>& caller_job) {
-    // Local copy: the layout pass below may swap the input graph/labels for
-    // renumbered ones and derive config.layout.cache_segment_shift.
+  static RunResult<ComperT> Run(const Job<ComperT>& job) {
+    return RunRank(job, kAllRanks);
+  }
+
+  /// One-rank-per-process execution over the TCP transport (paper §V-A run
+  /// on real processes instead of threads). Every process calls this with
+  /// the same Job — graph included; each rank keeps only its hash-owned
+  /// slice — and its own `rank` in [0, num_workers). Rank 0 also hosts the
+  /// master: it returns the aggregate and the counters folded from every
+  /// final report, and alone runs the sampler and status server and writes
+  /// the artifacts. Other ranks return ComperT::AggZero() and their local
+  /// counters. Each rank's JobStats::metrics holds its own worker and hub.
+  static RunResult<ComperT> RunDistributed(const Job<ComperT>& caller_job,
+                                           int rank) {
     Job<ComperT> job = caller_job;
+    job.config.comm.transport = CommConfig::Transport::kTcp;
+    GT_CHECK_OK(job.config.comm.LoadHostfile());
+    GT_CHECK(job.graph != nullptr)
+        << "RunDistributed loads from an in-memory graph";
+    GT_CHECK(job.resume_epoch < 0)
+        << "checkpoint restore is in-process only (see JobConfig::Validate)";
+    GT_CHECK(rank >= 0 && rank < job.config.num_workers)
+        << "rank " << rank << " outside [0, num_workers)";
+    return RunRank(std::move(job), rank);
+  }
+
+ private:
+  /// `rank` of an in-process run: this process hosts every worker.
+  static constexpr int kAllRanks = -1;
+
+  /// The rank runtime: runs `rank`'s worker (every worker for kAllRanks)
+  /// and, where worker 0 lives, the master.
+  static RunResult<ComperT> RunRank(Job<ComperT> job, int rank) {
     GT_CHECK_OK(job.config.Validate());
     // Kernels are free functions without a config handle; the dense/sparse
     // switch is process-global (apps/kernels.h).
@@ -152,7 +183,8 @@ class Cluster {
     // Hub-last layout (JobConfig::layout): renumber once before any worker
     // exists. Everything downstream — OwnerOf placement, T_cache routing,
     // the wire — speaks new IDs; the map is kept to translate the final
-    // aggregate back to original IDs.
+    // aggregate back to original IDs. HubLast is deterministic, so every
+    // TCP rank computes the identical map from the shared input graph.
     VertexLayout layout;
     Graph reordered_graph;
     std::vector<Label> reordered_labels;
@@ -178,43 +210,42 @@ class Cluster {
     const bool own_spill_root = spill_root.empty();
     if (own_spill_root) spill_root = MakeTempDir("spill");
 
+    // Local workers are [first, first + count); the master endpoint lives
+    // in the process that hosts worker 0.
     const int num_workers = config.num_workers;
-    const int master_id = num_workers;
-    CommHub hub(num_workers + 1, config.comm.net);
+    const int first = rank == kAllRanks ? 0 : rank;
+    const int count = rank == kAllRanks ? num_workers : 1;
+    const bool hosts_master = first == 0;
+    CommHub hub = MakeHub(config, rank);
     GT_CHECK_OK(hub.Start());
 
     // Flight recorder: always-on bounded ring of recent structural events
-    // (capacity knob `flight_recorder_events`; 0 disables). Declared before
-    // the workers so it outlives every thread that records into it; the
-    // process-wide crash handlers dump all live recorders on a fatal check,
-    // SIGTERM/SIGINT, or (below) a time-budget exit.
+    // (knob `flight_recorder_events`; 0 disables), declared before the
+    // workers so it outlives every thread recording into it. The crash
+    // handlers dump it on a fatal check, SIGTERM/SIGINT or a budget exit.
     obs::FlightRecorder::SetDumpDir(config.flight_dump_dir);
     obs::FlightRecorder::InstallCrashHandlers();
     obs::FlightRecorder flight(config.flight_recorder_events);
 
-    std::vector<std::unique_ptr<WorkerT>> workers;
-    workers.reserve(num_workers);
-    for (int w = 0; w < num_workers; ++w) {
-      workers.push_back(std::make_unique<WorkerT>(
-          w, config, &hub, job.comper_factory, job.trimmer,
-          spill_root + "/w" + std::to_string(w)));
+    const auto make_dir = [](const std::string& dir) {
       std::error_code ec;
-      std::filesystem::create_directories(spill_root + "/w" +
-                                          std::to_string(w), ec);
-      GT_CHECK(!ec);
-      workers[w]->SetFlightRecorder(&flight);
-      if (job.checkpoint_dfs != nullptr) {
-        workers[w]->SetCheckpointDfs(job.checkpoint_dfs);
-      }
-      if (!job.output_dir.empty()) {
-        std::error_code out_ec;
-        std::filesystem::create_directories(job.output_dir, out_ec);
-        GT_CHECK(!out_ec);
-        workers[w]->SetOutputDir(job.output_dir);
-      }
+      std::filesystem::create_directories(dir, ec);
+      GT_CHECK(!ec) << "cannot create " << dir << ": " << ec.message();
+    };
+    if (!job.output_dir.empty()) make_dir(job.output_dir);
+    std::vector<std::unique_ptr<WorkerT>> workers;
+    workers.reserve(count);
+    for (int w = first; w < first + count; ++w) {
+      const std::string spill_dir = spill_root + "/w" + std::to_string(w);
+      make_dir(spill_dir);
+      auto& worker = workers.emplace_back(std::make_unique<WorkerT>(
+          w, config, &hub, job.comper_factory, job.trimmer, spill_dir));
+      worker->SetFlightRecorder(&flight);
+      worker->SetCheckpointDfs(job.checkpoint_dfs);
+      worker->SetOutputDir(job.output_dir);
     }
 
-    LoadInput(job, &workers);
+    LoadInput(job, first, &workers);
 
     AggT global = ComperT::AggZero();
     uint64_t next_ckpt_epoch = 1;
@@ -226,36 +257,35 @@ class Cluster {
     for (auto& worker : workers) worker->Start();
 
     // Gauge sampler (JobConfig::metrics_sample_ms): a master-side thread
-    // polling each worker's cheap probes plus the hub inbox backlog into
-    // bounded time-series. Reads are single relaxed atomics, so the sampler
-    // perturbs nothing; it is joined before the workers are torn down. The
-    // sampled set (names and probe order) is obs::kWorkerSampledGauges.
+    // polling each local worker's cheap probes plus its inbox backlog into
+    // bounded time-series (obs::kWorkerSampledGauges). Reads are single
+    // relaxed atomics, so it perturbs nothing; joined before teardown.
     constexpr size_t kNumSeries = obs::kNumWorkerSampledGauges;
-    std::vector<std::vector<obs::BoundedSeries>> sampled(num_workers);
+    std::vector<std::vector<obs::BoundedSeries>> sampled(count);
     std::atomic<bool> sampler_stop{false};
     std::thread sampler;
-    if (config.metrics_sample_ms > 0) {
-      for (int w = 0; w < num_workers; ++w) {
-        sampled[w].reserve(kNumSeries);
+    if (hosts_master && config.metrics_sample_ms > 0) {
+      for (int i = 0; i < count; ++i) {
+        sampled[i].reserve(kNumSeries);
         for (size_t s = 0; s < kNumSeries; ++s) {
-          sampled[w].emplace_back(obs::kWorkerSampledGauges[s], w);
+          sampled[i].emplace_back(obs::kWorkerSampledGauges[s], first + i);
         }
       }
       sampler = std::thread([&] {
         while (!sampler_stop.load(std::memory_order_acquire)) {
           const int64_t t = hub.NowUs();
-          for (int w = 0; w < num_workers; ++w) {
+          for (int i = 0; i < count; ++i) {
             // Probe order must match obs::kWorkerSampledGauges.
             const int64_t values[kNumSeries] = {
-                workers[w]->SampleCacheSize(),
-                workers[w]->SampleLiveTasks(),
-                workers[w]->SampleQueueDepth(),
-                workers[w]->SampleDiskTasks(),
-                hub.InboxDepth(w),
-                workers[w]->SampleSpillQueueDepth(),
+                workers[i]->SampleCacheSize(),
+                workers[i]->SampleLiveTasks(),
+                workers[i]->SampleQueueDepth(),
+                workers[i]->SampleDiskTasks(),
+                hub.InboxDepth(first + i),
+                workers[i]->SampleSpillQueueDepth(),
             };
             for (size_t s = 0; s < kNumSeries; ++s) {
-              sampled[w][s].Append(t, values[s]);
+              sampled[i][s].Append(t, values[s]);
             }
           }
           std::this_thread::sleep_for(
@@ -264,20 +294,18 @@ class Cluster {
       });
     }
 
-    // ------------------------- master loop -------------------------
     RunResult<ComperT> out;
     JobStats& stats = out.stats;
     Timer wall;
-    Timer ckpt_timer;
 
-    // Live status endpoint (knob `status_port`; 0 = off, -1 = ephemeral).
-    // Both snapshot callbacks read only relaxed-atomic probes and
-    // mutex-frozen registry snapshots, so a scrape never perturbs the run.
-    // Stopped explicitly before the workers are destroyed.
+    // Live status endpoint (knob `status_port`; 0 = off, -1 = ephemeral) on
+    // the master host, covering its local workers. Both callbacks read only
+    // relaxed-atomic probes and mutex-frozen registry snapshots, so a scrape
+    // never perturbs the run. Stopped before the workers are destroyed.
     obs::StatusServer status_server(
         [&]() {
           std::vector<obs::MetricsSnapshot> snaps;
-          snaps.reserve(static_cast<size_t>(num_workers) + 2);
+          snaps.reserve(static_cast<size_t>(count) + 2);
           for (auto& worker : workers) {
             snaps.push_back(worker->MetricsSnapshot());
           }
@@ -288,27 +316,31 @@ class Cluster {
           obs::MetricsSnapshot job;
           job.scope = "job";
           job.gauges.emplace_back("uptime_us", wall.ElapsedMicros());
-          for (int w = 0; w < num_workers; ++w) {
-            const auto s = workers[w]->SampleLiveStatus();
-            const std::string l = "{worker=" + std::to_string(w) + "}";
+          for (int i = 0; i < count; ++i) {
+            const auto s = workers[i]->SampleLiveStatus();
+            const std::string l = "{worker=" + std::to_string(first + i) + "}";
             job.gauges.emplace_back("tasks_live" + l, s.live_tasks);
             job.gauges.emplace_back("queue_depth" + l, s.queue_depth);
             job.gauges.emplace_back("disk_tasks" + l, s.disk_tasks);
             job.gauges.emplace_back("cache_size" + l, s.cache_size);
-            job.gauges.emplace_back("inbox_depth" + l, hub.InboxDepth(w));
+            job.gauges.emplace_back("inbox_depth" + l,
+                                    hub.InboxDepth(first + i));
           }
           snaps.push_back(std::move(job));
           return snaps;
         },
         [&]() {
           obs::JsonWriter w;
+          const auto field = [&w](const char* key, int64_t value) {
+            w.Key(key);
+            w.Int(value);
+          };
           w.BeginObject();
           w.Key("job");
           w.String("gthinker");
           w.Key("uptime_s");
           w.Double(wall.ElapsedSeconds());
-          w.Key("num_workers");
-          w.Int(num_workers);
+          field("num_workers", num_workers);
           w.Key("transport");
           w.String(hub.TransportName());
           int64_t live = 0, pending = 0, disk = 0, cache_entries = 0;
@@ -317,8 +349,8 @@ class Cluster {
           int64_t splits = 0;
           w.Key("workers");
           w.BeginArray();
-          for (int wi = 0; wi < num_workers; ++wi) {
-            const auto s = workers[wi]->SampleLiveStatus();
+          for (int i = 0; i < count; ++i) {
+            const auto s = workers[i]->SampleLiveStatus();
             live += s.live_tasks;
             pending += s.queue_depth;
             disk += s.disk_tasks;
@@ -331,22 +363,14 @@ class Cluster {
             stolen += s.stolen_batches;
             splits += s.splits;
             w.BeginObject();
-            w.Key("worker");
-            w.Int(wi);
-            w.Key("tasks_live");
-            w.Int(s.live_tasks);
-            w.Key("queue_depth");
-            w.Int(s.queue_depth);
-            w.Key("disk_tasks");
-            w.Int(s.disk_tasks);
-            w.Key("spill_queue_depth");
-            w.Int(s.spill_queue_depth);
-            w.Key("cache_size");
-            w.Int(s.cache_size);
-            w.Key("inbox_depth");
-            w.Int(hub.InboxDepth(wi));
-            w.Key("peak_mem_bytes");
-            w.Int(s.peak_mem_bytes);
+            field("worker", first + i);
+            field("tasks_live", s.live_tasks);
+            field("queue_depth", s.queue_depth);
+            field("disk_tasks", s.disk_tasks);
+            field("spill_queue_depth", s.spill_queue_depth);
+            field("cache_size", s.cache_size);
+            field("inbox_depth", hub.InboxDepth(first + i));
+            field("peak_mem_bytes", s.peak_mem_bytes);
             w.Key("comper_utilization");
             w.Double(s.comper_rounds > 0
                          ? 1.0 - static_cast<double>(s.comper_idle_rounds) /
@@ -361,17 +385,13 @@ class Cluster {
           w.EndArray();
           w.Key("tasks");
           w.BeginObject();
-          w.Key("live");
-          w.Int(live);
-          w.Key("pending");
-          w.Int(pending);
-          w.Key("spilled");
-          w.Int(disk);
+          field("live", live);
+          field("pending", pending);
+          field("spilled", disk);
           w.EndObject();
           w.Key("cache");
           w.BeginObject();
-          w.Key("entries");
-          w.Int(cache_entries);
+          field("entries", cache_entries);
           w.Key("hit_rate");
           w.Double(requests > 0 ? static_cast<double>(hits) /
                                       static_cast<double>(requests)
@@ -379,23 +399,17 @@ class Cluster {
           w.EndObject();
           w.Key("activity");
           w.BeginObject();
-          w.Key("tasks_spawned");
-          w.Int(spawned);
-          w.Key("tasks_finished");
-          w.Int(finished);
-          w.Key("spilled_batches");
-          w.Int(spilled);
-          w.Key("stolen_batches");
-          w.Int(stolen);
-          w.Key("splits");
-          w.Int(splits);
-          w.Key("steal_orders");
-          w.Int(hub.SentCount(MsgType::kStealOrder));
+          field("tasks_spawned", spawned);
+          field("tasks_finished", finished);
+          field("spilled_batches", spilled);
+          field("stolen_batches", stolen);
+          field("splits", splits);
+          field("steal_orders", hub.SentCount(MsgType::kStealOrder));
           w.EndObject();
           w.EndObject();
           return w.Take();
         });
-    if (config.status_port != 0) {
+    if (hosts_master && config.status_port != 0) {
       const Status bound = status_server.Start(config.status_port);
       if (bound.ok()) {
         stats.status_port = status_server.port();
@@ -407,331 +421,82 @@ class Cluster {
       }
     }
 
-    std::vector<ProgressReport> latest(num_workers);
-    std::vector<bool> fresh(num_workers, false);
-    std::vector<ProgressReport> final_reports(num_workers);
-    std::vector<bool> final_seen(num_workers, false);
-
-    struct Snapshot {
-      bool valid = false;
-      bool all_idle = false;
-      bool balanced = false;
-      bool conserved = false;  // global task ledger balances
-      std::vector<int64_t> sent, processed;
-    };
-    Snapshot prev;
-
-    int pending_ckpt_acks = 0;
-    uint64_t active_ckpt_epoch = 0;
-    // Checkpoint quiesce (paper §V-B fault tolerance, hardened): while true,
-    // the master stops issuing steal orders and holds the kCheckpointRequest
-    // broadcast until the wire carries no kStealOrder / kTaskBatch traffic,
-    // so no donated batch can fall between the donor's and the recipient's
-    // snapshots (outside both).
-    bool ckpt_quiescing = false;
-    // Checkpoint-consistent aggregate: per-link FIFO ordering guarantees that
-    // everything a worker committed *before* its snapshot arrives before its
-    // ack. Deltas from not-yet-acked workers merge here too; deltas arriving
-    // after a worker's ack are post-snapshot and must not enter the meta.
-    AggT ckpt_global = ComperT::AggZero();
-    std::vector<bool> ckpt_acked(num_workers, false);
-    bool terminate = false;
-
-    // Broadcasting a Payload is cheap by design: each copy bumps fragment
-    // refcounts, so all N workers share the sender's one encoded buffer.
-    auto broadcast = [&](MsgType type, const Payload& payload) {
-      for (int w = 0; w < num_workers; ++w) {
-        MessageBatch mb;
-        mb.src_worker = master_id;
-        mb.dst_worker = w;
-        mb.type = type;
-        mb.payload = payload;
-        hub.Send(std::move(mb));
-      }
-    };
-    auto merge_delta = [&](const std::string& blob) {
-      AggT delta{};
-      Deserializer des(blob);
-      GT_CHECK_OK(Codec<AggT>::Decode(des, &delta));
-      global = ComperT::AggMerge(global, delta);
-    };
-    auto encode_global = [&]() {
-      Serializer ser;
-      Codec<AggT>::Encode(ser, global);
-      return TakePayload(ser);
-    };
-
-    while (!terminate) {
-      MessageBatch mb;
-      if (hub.Receive(master_id, config.comm.poll_us, &mb)) {
-        switch (mb.type) {
-          case MsgType::kProgressReport: {
-            ProgressReport report;
-            GT_CHECK_OK(report.Decode(mb.payload));
-            merge_delta(report.agg_delta);
-            if (pending_ckpt_acks > 0 && !ckpt_acked[report.worker_id]) {
-              MergeInto(&ckpt_global, report.agg_delta);
-            }
-            latest[report.worker_id] = report;
-            fresh[report.worker_id] = true;
-            break;
-          }
-          case MsgType::kCheckpointAck: {
-            CheckpointAck ack;
-            GT_CHECK_OK(ack.Decode(mb.payload));
-            merge_delta(ack.agg_delta);
-            if (ack.epoch == active_ckpt_epoch && pending_ckpt_acks > 0 &&
-                !ckpt_acked[ack.worker_id]) {
-              MergeInto(&ckpt_global, ack.agg_delta);
-              ckpt_acked[ack.worker_id] = true;
-              if (--pending_ckpt_acks == 0) {
-                CommitCheckpointMeta(job, active_ckpt_epoch, ckpt_global,
-                                     num_workers);
-                ++stats.checkpoints;
-              }
-            }
-            break;
-          }
-          default:
-            LOG_FATAL << "master: unexpected message type "
-                      << static_cast<int>(mb.type);
-        }
-        hub.MarkProcessed(mb.type);
-      }
-
-      // A global snapshot forms once every worker reported since the last.
-      if (std::all_of(fresh.begin(), fresh.end(), [](bool b) { return b; })) {
-        Snapshot snap;
-        snap.valid = true;
-        snap.all_idle = true;
-        int64_t sent = 0, processed = 0;
-        TaskLedger sum;
-        int64_t live = 0;
-        for (int w = 0; w < num_workers; ++w) {
-          snap.all_idle = snap.all_idle && latest[w].idle != 0;
-          sent += latest[w].data_sent;
-          processed += latest[w].data_processed;
-          snap.sent.push_back(latest[w].data_sent);
-          snap.processed.push_back(latest[w].data_processed);
-          sum.Accumulate(latest[w].ledger);
-          live += latest[w].tasks_live;
-        }
-        snap.balanced = (sent == processed);
-        // Task conservation: the summed ledger must account for exactly the
-        // tasks the workers report alive. In-flight kTaskBatch records are
-        // neutral (donor already counted `donated`, recipient not yet
-        // `received`), so a correct system balances at every snapshot; the
-        // counters are read without a global freeze, though, so a transient
-        // skew only delays termination by one snapshot rather than failing.
-        snap.conserved = (sum.ExpectedLive() == live);
-
-        broadcast(MsgType::kAggregatorSync, encode_global());
-
-        if (snap.all_idle && snap.balanced && snap.conserved && prev.valid &&
-            prev.all_idle && prev.balanced && prev.conserved &&
-            prev.sent == snap.sent && prev.processed == snap.processed &&
-            pending_ckpt_acks == 0 && !ckpt_quiescing) {
-          terminate = true;
-        } else if (config.enable_stealing && !snap.all_idle &&
-                   !ckpt_quiescing && pending_ckpt_acks == 0) {
-          PlanSteals(latest, config, master_id, &hub);
-        }
-        prev = std::move(snap);
-        std::fill(fresh.begin(), fresh.end(), false);
-      }
-
-      if (!terminate && config.time_budget_s > 0.0 &&
-          wall.ElapsedSeconds() > config.time_budget_s) {
-        stats.timed_out = true;
-        terminate = true;
-        // A budget exit is a diagnosis moment: dump the recent event history
-        // so the state that failed to converge is inspectable post-mortem.
-        flight.Record(obs::FlightKind::kTimeout, /*worker=*/-1, /*comper=*/-1,
-                      static_cast<int64_t>(wall.ElapsedSeconds()));
-        obs::FlightRecorder::WriteCrashDump("timeout");
-      }
-
-      if (!terminate && config.checkpoint_interval_us > 0 &&
-          pending_ckpt_acks == 0 && !ckpt_quiescing &&
-          ckpt_timer.ElapsedMicros() >= config.checkpoint_interval_us) {
-        // Phase 1: stop feeding the wire with steal orders (PlanSteals is
-        // gated on !ckpt_quiescing) and wait for in-flight stealing traffic
-        // to settle before asking anyone to snapshot.
-        ckpt_quiescing = true;
-      }
-
-      if (!terminate && ckpt_quiescing &&
-          // Order matters: a donor sends its kTaskBatch *before* marking the
-          // kStealOrder processed, so once no steal order is unprocessed,
-          // every batch it will ever produce is already visible to the
-          // kTaskBatch count checked second.
-          hub.InFlightCount(MsgType::kStealOrder) == 0 &&
-          hub.InFlightCount(MsgType::kTaskBatch) == 0) {
-        ckpt_quiescing = false;
-        active_ckpt_epoch = next_ckpt_epoch++;
-        pending_ckpt_acks = num_workers;
-        ckpt_global = global;  // everything committed so far is pre-snapshot
-        std::fill(ckpt_acked.begin(), ckpt_acked.end(), false);
-        CheckpointRequest req;
-        req.epoch = active_ckpt_epoch;
-        broadcast(MsgType::kCheckpointRequest, req.Encode());
-        ckpt_timer.Restart();
-      }
-    }
-
-    broadcast(MsgType::kTerminate, "");
-
-    // Two-phase drain (lossless shutdown). Each worker, on kTerminate,
-    // stops its compers, flushes its request buffers, and sends a
-    // kDrainBarrier; once all N arrive nobody can originate new traffic, so
-    // the master echoes an (empty) kDrainBarrier releasing the workers to
-    // pump the wire dry — they send their final report only after
-    // CommHub::InFlightCount() proves nothing is queued, in transit, or in a
-    // handler that could still send.
-    int barriers = 0;
-    int finals = 0;
-    std::vector<bool> barrier_seen(num_workers, false);
-    while (finals < num_workers) {
-      MessageBatch mb;
-      if (!hub.Receive(master_id, /*timeout_us=*/10'000, &mb)) continue;
-      if (mb.type == MsgType::kProgressReport) {
-        ProgressReport report;
-        GT_CHECK_OK(report.Decode(mb.payload));
-        merge_delta(report.agg_delta);
-        if (report.final_report != 0 && !final_seen[report.worker_id]) {
-          final_seen[report.worker_id] = true;
-          final_reports[report.worker_id] = report;
-          ++finals;
-        }
-      } else if (mb.type == MsgType::kCheckpointAck) {
-        CheckpointAck ack;
-        GT_CHECK_OK(ack.Decode(mb.payload));
-        merge_delta(ack.agg_delta);
-      } else if (mb.type == MsgType::kDrainBarrier) {
-        int32_t worker_id = -1;
-        GT_CHECK_OK(DecodeDrainBarrier(mb.payload, &worker_id));
-        if (!barrier_seen[worker_id]) {
-          barrier_seen[worker_id] = true;
-          if (++barriers == num_workers) {
-            broadcast(MsgType::kDrainBarrier, "");
-          }
-        }
-      }
-      hub.MarkProcessed(mb.type);
+    // Off the master host the workers just follow the master's broadcasts;
+    // their comm threads exit once the drain proved the wire empty.
+    if (hosts_master) {
+      Master<ComperT> master(config, &hub, &flight, job.checkpoint_dfs,
+                             &stats);
+      global = master.Run(std::move(global), next_ckpt_epoch, wall);
     }
     for (auto& worker : workers) worker->Join();
 
     if (sampler.joinable()) {
       sampler_stop.store(true, std::memory_order_release);
       sampler.join();
-      for (int w = 0; w < num_workers; ++w) {
-        for (obs::BoundedSeries& series : sampled[w]) {
+      for (auto& worker_series : sampled) {
+        for (obs::BoundedSeries& series : worker_series) {
           stats.timeseries.push_back(series.Take());
         }
       }
     }
-
     stats.elapsed_s = wall.ElapsedSeconds();
-    for (int w = 0; w < num_workers; ++w) {
-      const ProgressReport& r = final_reports[w];
-      stats.tasks_spawned += r.tasks_spawned;
-      stats.task_iterations += r.task_iterations;
-      stats.tasks_finished += r.tasks_finished;
-      stats.spilled_batches += r.spilled_batches;
-      stats.stolen_batches += r.stolen_batches;
-      stats.vertex_requests += r.vertex_requests;
-      stats.cache_hits += r.cache_hits;
-      stats.cache_requests += r.cache_requests;
-      stats.cache_evictions += r.cache_evictions;
-      stats.comper_idle_rounds += r.comper_idle_rounds;
-      stats.comper_rounds += r.comper_rounds;
-      stats.ledger.Accumulate(r.ledger);
-      stats.tasks_live_at_exit += r.tasks_live;
-      stats.drained_messages += r.drained_messages;
-      stats.peak_mem_bytes.push_back(workers[w]->PeakMemBytes());
-      stats.max_peak_mem_bytes =
-          std::max(stats.max_peak_mem_bytes, workers[w]->PeakMemBytes());
-      stats.records_output += workers[w]->RecordsOutput();
+
+    if (!stats.timed_out && stats.ledger.dropped == 0) {
+      // Clean completion also means a provably empty wire. Over tcp every
+      // rank certifies its own transport drained: both FLUSH rounds
+      // completed, send queues flushed, inboxes empty, nothing unprocessed.
+      Timer drain_wait;
+      while (hub.InFlightCount() != 0 && drain_wait.ElapsedSeconds() < 30.0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      GT_CHECK_EQ(hub.InFlightCount(), 0)
+          << "clean termination left undrained messages on the wire";
     }
+
     stats.batches_sent = hub.TotalBatchesSent();
     stats.bytes_sent = hub.TotalBytesSent();
-    stats.steal_orders = hub.SentCount(MsgType::kStealOrder);
-
-    // Per-scope metric snapshots: every worker's registry (with the cache /
-    // task roll-ups folded in) plus the hub's wire view. Safe here: workers
-    // are joined, the hub is quiet.
+    // Per-scope metric snapshots: every local worker's registry (with the
+    // cache / task roll-ups folded in) plus the hub's wire view, taken after
+    // the transport stops so its teardown accounting (any
+    // transport.batches_abandoned frames) reaches the job report.
+    for (auto& worker : workers) worker->FinalizeObs();
+    hub.Shutdown();
     for (auto& worker : workers) {
-      worker->FinalizeObs();
       stats.metrics.push_back(worker->MetricsSnapshot());
+      stats.peak_mem_bytes.push_back(worker->PeakMemBytes());
+      stats.max_peak_mem_bytes =
+          std::max(stats.max_peak_mem_bytes, worker->PeakMemBytes());
+      stats.records_output += worker->RecordsOutput();
+      if (!hosts_master) {
+        // No final reports reach this rank: report its own counters.
+        const auto s = worker->SampleLiveStatus();
+        stats.tasks_spawned += s.tasks_spawned;
+        stats.tasks_finished += s.tasks_finished;
+        stats.spilled_batches += s.spilled_batches;
+        stats.stolen_batches += s.stolen_batches;
+      }
     }
     stats.metrics.push_back(hub.MetricsSnapshot());
 
-    // Split/lineage roll-up across the per-worker registries (satellite of
-    // the big-task decomposition work: how much splitting actually happened).
+    // Split/lineage roll-up across the per-worker registries: how much
+    // big-task splitting actually happened (absent counters read -1).
     for (const obs::MetricsSnapshot& snap : stats.metrics) {
-      const int64_t splits = snap.CounterValue("split.count");
-      if (splits > 0) stats.splits += splits;
-      const int64_t children = snap.CounterValue("split.children");
-      if (children > 0) stats.split_children += children;
+      stats.splits += std::max<int64_t>(0, snap.CounterValue("split.count"));
+      stats.split_children +=
+          std::max<int64_t>(0, snap.CounterValue("split.children"));
       if (const obs::HistogramSnapshot* depth =
               snap.FindHistogram("split.depth")) {
         stats.split_depth_max = std::max(stats.split_depth_max, depth->max);
       }
     }
 
-    // Task-conservation verdict. The final reports are taken after every
-    // worker has quiesced and drained, so the summed ledger must account for
-    // every task ever created; any residue is a silently lost (or
-    // double-counted) task and aborts the job rather than returning a
-    // plausible-looking partial answer.
-    stats.tasks_lost = stats.ledger.ExpectedLive() - stats.tasks_live_at_exit;
-    GT_CHECK_EQ(stats.tasks_lost, 0)
-        << "task-conservation violation: spawned=" << stats.ledger.spawned
-        << " restored=" << stats.ledger.restored
-        << " received=" << stats.ledger.received
-        << " finished=" << stats.ledger.finished
-        << " donated=" << stats.ledger.donated
-        << " dropped=" << stats.ledger.dropped
-        << " live_at_exit=" << stats.tasks_live_at_exit;
-    if (!stats.timed_out && stats.ledger.dropped == 0) {
-      // Clean completion additionally means nothing was left behind: no live
-      // task anywhere and a provably empty wire.
-      GT_CHECK_EQ(stats.tasks_live_at_exit, 0)
-          << "clean termination left live tasks behind";
-      GT_CHECK_EQ(hub.InFlightCount(), 0)
-          << "clean termination left undrained messages on the wire";
-    }
-
     if (config.enable_tracing) {
-      for (auto& worker : workers) {
-        const TraceRing* ring = worker->trace();
-        if (ring == nullptr) continue;
-        stats.trace_events_total += ring->total();
-        for (const TraceEvent& e : ring->Snapshot()) {
-          stats.trace.push_back(e);
-        }
-      }
-      std::sort(stats.trace.begin(), stats.trace.end(),
-                [](const TraceEvent& a, const TraceEvent& b) {
-                  return a.t_us < b.t_us;
-                });
+      CollectRings(workers, &WorkerT::trace, &stats.trace,
+                   &stats.trace_events_total);
     }
-
     if (config.enable_span_tracing) {
-      for (auto& worker : workers) {
-        const obs::SpanRing* ring = worker->spans();
-        if (ring == nullptr) continue;
-        stats.span_events_total += ring->total();
-        for (const obs::SpanEvent& e : ring->Snapshot()) {
-          stats.spans.push_back(e);
-        }
-      }
-      // Hub-clock timestamps share one epoch across workers, so a global
-      // sort gives true cluster-wide ordering.
-      std::sort(stats.spans.begin(), stats.spans.end(),
-                [](const obs::SpanEvent& a, const obs::SpanEvent& b) {
-                  return a.t_us < b.t_us;
-                });
+      CollectRings(workers, &WorkerT::spans, &stats.spans,
+                   &stats.span_events_total);
     }
 
     // Phase-attribution profile: where every comper's wall time went, from
@@ -745,7 +510,7 @@ class Cluster {
     workers.clear();
     if (own_spill_root) RemoveTree(spill_root);
 
-    {
+    if (hosts_master) {
       const Status artifacts =
           WriteObservabilityArtifacts("gthinker", config, stats);
       if (!artifacts.ok()) {
@@ -753,338 +518,71 @@ class Cluster {
       }
     }
 
+    // A no-op off the master host, which returns AggZero().
     if (!layout.empty()) MapResultToOriginalIds(&global, layout);
     out.result = std::move(global);
     return out;
   }
 
-  /// One-rank-per-process execution over the TCP transport (paper §V-A run
-  /// on real processes instead of threads). Every process calls this with
-  /// the same Job — graph included; each rank keeps only its hash-owned
-  /// slice — and its own `rank` in [0, num_workers). Rank 0 additionally
-  /// hosts the master endpoint and plays the master role. The returned
-  /// aggregate is authoritative on rank 0 only (final drained deltas only
-  /// ever reach the master); other ranks return ComperT::AggZero() plus
-  /// their local worker stats.
-  static RunResult<ComperT> RunDistributed(const Job<ComperT>& job,
-                                           int rank) {
-    JobConfig config = job.config;
-    config.comm.transport = CommConfig::Transport::kTcp;
-    GT_CHECK_OK(config.comm.LoadHostfile());
-    GT_CHECK_OK(config.Validate());
-    SetKernelBitsetMaxVertices(config.kernel_bitset_max_vertices);
-    GT_CHECK(job.comper_factory != nullptr);
-    GT_CHECK(job.graph != nullptr)
-        << "RunDistributed loads from an in-memory graph";
-    GT_CHECK(job.resume_epoch < 0)
-        << "checkpoint restore is in-process only (see JobConfig::Validate)";
-
-    const int num_workers = config.num_workers;
-    GT_CHECK(rank >= 0 && rank < num_workers)
-        << "rank " << rank << " outside [0, " << num_workers << ")";
-    const int master_id = num_workers;
-
-    // Hub-last layout (JobConfig::layout): HubLast is deterministic, so
-    // every rank computes the identical old<->new map from the shared input
-    // graph before keeping only its hash-owned slice. Rank 0 translates the
-    // authoritative aggregate back to original IDs at the end.
-    Job<ComperT> local_job = job;
-    VertexLayout layout;
-    Graph reordered_graph;
-    std::vector<Label> reordered_labels;
-    if (config.layout.reorder) {
-      layout = VertexLayout::HubLast(*job.graph);
-      reordered_graph = layout.Apply(*job.graph);
-      if (job.labels != nullptr) {
-        reordered_labels = layout.ApplyLabels(*job.labels);
-        local_job.labels = &reordered_labels;
-      }
-      local_job.graph = &reordered_graph;
-      config.layout.cache_segment_shift = DeriveCacheSegmentShift(
-          reordered_graph, config.layout.llc_segment_bytes,
-          config.cache_num_buckets);
+  /// Appends every local worker's event ring (`ring_of`, null when off) to
+  /// `events` and counts all events ever recorded into `total`. Hub-clock
+  /// timestamps share one epoch across workers, so a global sort gives true
+  /// cluster-wide ordering.
+  template <typename Ring, typename Event>
+  static void CollectRings(const std::vector<std::unique_ptr<WorkerT>>& workers,
+                           const Ring* (WorkerT::*ring_of)() const,
+                           std::vector<Event>* events, int64_t* total) {
+    for (const auto& worker : workers) {
+      const Ring* ring = ((*worker).*ring_of)();
+      if (ring == nullptr) continue;
+      *total += ring->total();
+      for (const Event& e : ring->Snapshot()) events->push_back(e);
     }
+    std::sort(events->begin(), events->end(),
+              [](const Event& a, const Event& b) { return a.t_us < b.t_us; });
+  }
 
-    std::string spill_root = config.spill_root;
-    const bool own_spill_root = spill_root.empty();
-    if (own_spill_root) spill_root = MakeTempDir("spill");
-
+  /// Builds the hub: in-process mailboxes for every endpoint, or this
+  /// rank's endpoint of the TCP mesh.
+  static CommHub MakeHub(const JobConfig& config, int rank) {
+    const int endpoints = config.num_workers + 1;  // workers + master
+    if (rank == kAllRanks) return CommHub(endpoints, config.comm.net);
     net::TcpTransportOptions topts;
     topts.rank = rank;
-    topts.num_workers = num_workers;
+    topts.num_workers = config.num_workers;
     topts.hosts = config.comm.hosts;
     topts.send_buffer_max_bytes = config.comm.tcp_send_buffer_max_bytes;
     topts.connect_timeout_ms = config.comm.tcp_connect_timeout_ms;
     topts.backoff_initial_ms = config.comm.tcp_backoff_initial_ms;
     topts.backoff_max_ms = config.comm.tcp_backoff_max_ms;
     topts.io_threads = config.comm.tcp_io_threads;
-    CommHub hub(num_workers + 1,
-                std::make_unique<net::TcpTransport>(std::move(topts)));
-    GT_CHECK_OK(hub.Start());
-
-    obs::FlightRecorder::SetDumpDir(config.flight_dump_dir);
-    obs::FlightRecorder::InstallCrashHandlers();
-    obs::FlightRecorder flight(config.flight_recorder_events);
-
-    const std::string spill_dir = spill_root + "/w" + std::to_string(rank);
-    {
-      std::error_code ec;
-      std::filesystem::create_directories(spill_dir, ec);
-      GT_CHECK(!ec);
-    }
-    auto worker = std::make_unique<WorkerT>(rank, config, &hub,
-                                            job.comper_factory, job.trimmer,
-                                            spill_dir);
-    worker->SetFlightRecorder(&flight);
-    if (!job.output_dir.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(job.output_dir, ec);
-      GT_CHECK(!ec);
-      worker->SetOutputDir(job.output_dir);
-    }
-
-    LoadInputRank(local_job, rank, worker.get());
-    worker->Start();
-
-    RunResult<ComperT> out;
-    JobStats& stats = out.stats;
-    AggT global = ComperT::AggZero();
-    Timer wall;
-
-    if (rank == 0) {
-      // ------------------- master loop (lean variant) -------------------
-      // Same termination protocol as Run(): two consecutive stable global
-      // snapshots, all idle, data flow balanced, task ledger conserved.
-      // No checkpoints (Validate rejects them under tcp — quiesce needs a
-      // cluster-global typed InFlightCount), no sampler / status server.
-      std::vector<ProgressReport> latest(num_workers);
-      std::vector<bool> fresh(num_workers, false);
-      struct Snapshot {
-        bool valid = false;
-        bool all_idle = false;
-        bool balanced = false;
-        bool conserved = false;
-        std::vector<int64_t> sent, processed;
-      };
-      Snapshot prev;
-      bool terminate = false;
-
-      auto broadcast = [&](MsgType type, const Payload& payload) {
-        for (int w = 0; w < num_workers; ++w) {
-          MessageBatch mb;
-          mb.src_worker = master_id;
-          mb.dst_worker = w;
-          mb.type = type;
-          mb.payload = payload;
-          hub.Send(std::move(mb));
-        }
-      };
-      auto encode_global = [&]() {
-        Serializer ser;
-        Codec<AggT>::Encode(ser, global);
-        return TakePayload(ser);
-      };
-
-      while (!terminate) {
-        MessageBatch mb;
-        if (hub.Receive(master_id, config.comm.poll_us, &mb)) {
-          GT_CHECK(mb.type == MsgType::kProgressReport)
-              << "distributed master: unexpected message type "
-              << static_cast<int>(mb.type);
-          ProgressReport report;
-          GT_CHECK_OK(report.Decode(mb.payload));
-          MergeInto(&global, report.agg_delta);
-          latest[report.worker_id] = report;
-          fresh[report.worker_id] = true;
-          hub.MarkProcessed(mb.type);
-        }
-
-        if (std::all_of(fresh.begin(), fresh.end(),
-                        [](bool b) { return b; })) {
-          Snapshot snap;
-          snap.valid = true;
-          snap.all_idle = true;
-          int64_t sent = 0, processed = 0;
-          TaskLedger sum;
-          int64_t live = 0;
-          for (int w = 0; w < num_workers; ++w) {
-            snap.all_idle = snap.all_idle && latest[w].idle != 0;
-            sent += latest[w].data_sent;
-            processed += latest[w].data_processed;
-            snap.sent.push_back(latest[w].data_sent);
-            snap.processed.push_back(latest[w].data_processed);
-            sum.Accumulate(latest[w].ledger);
-            live += latest[w].tasks_live;
-          }
-          snap.balanced = (sent == processed);
-          snap.conserved = (sum.ExpectedLive() == live);
-
-          broadcast(MsgType::kAggregatorSync, encode_global());
-
-          if (snap.all_idle && snap.balanced && snap.conserved &&
-              prev.valid && prev.all_idle && prev.balanced &&
-              prev.conserved && prev.sent == snap.sent &&
-              prev.processed == snap.processed) {
-            terminate = true;
-          } else if (config.enable_stealing && !snap.all_idle) {
-            PlanSteals(latest, config, master_id, &hub);
-          }
-          prev = std::move(snap);
-          std::fill(fresh.begin(), fresh.end(), false);
-        }
-
-        if (!terminate && config.time_budget_s > 0.0 &&
-            wall.ElapsedSeconds() > config.time_budget_s) {
-          stats.timed_out = true;
-          terminate = true;
-          flight.Record(obs::FlightKind::kTimeout, /*worker=*/-1,
-                        /*comper=*/-1,
-                        static_cast<int64_t>(wall.ElapsedSeconds()));
-          obs::FlightRecorder::WriteCrashDump("timeout");
-        }
-      }
-
-      broadcast(MsgType::kTerminate, "");
-
-      // Two-phase drain, as in Run(). After the release broadcast the
-      // master originates nothing further, so its endpoint announces drain
-      // too — on tcp that is what lets the transport start its cluster-wide
-      // FLUSH marker rounds.
-      std::vector<ProgressReport> final_reports(num_workers);
-      std::vector<bool> final_seen(num_workers, false);
-      std::vector<bool> barrier_seen(num_workers, false);
-      int barriers = 0;
-      int finals = 0;
-      while (finals < num_workers) {
-        MessageBatch mb;
-        if (!hub.Receive(master_id, /*timeout_us=*/10'000, &mb)) continue;
-        if (mb.type == MsgType::kProgressReport) {
-          ProgressReport report;
-          GT_CHECK_OK(report.Decode(mb.payload));
-          MergeInto(&global, report.agg_delta);
-          if (report.final_report != 0 && !final_seen[report.worker_id]) {
-            final_seen[report.worker_id] = true;
-            final_reports[report.worker_id] = report;
-            ++finals;
-          }
-        } else if (mb.type == MsgType::kDrainBarrier) {
-          int32_t worker_id = -1;
-          GT_CHECK_OK(DecodeDrainBarrier(mb.payload, &worker_id));
-          if (!barrier_seen[worker_id]) {
-            barrier_seen[worker_id] = true;
-            if (++barriers == num_workers) {
-              broadcast(MsgType::kDrainBarrier, "");
-              hub.BeginDrain(master_id);
-            }
-          }
-        } else {
-          LOG_FATAL << "distributed master: unexpected drain-phase type "
-                    << static_cast<int>(mb.type);
-        }
-        hub.MarkProcessed(mb.type);
-      }
-      worker->Join();
-
-      stats.elapsed_s = wall.ElapsedSeconds();
-      for (int w = 0; w < num_workers; ++w) {
-        const ProgressReport& r = final_reports[w];
-        stats.tasks_spawned += r.tasks_spawned;
-        stats.task_iterations += r.task_iterations;
-        stats.tasks_finished += r.tasks_finished;
-        stats.spilled_batches += r.spilled_batches;
-        stats.stolen_batches += r.stolen_batches;
-        stats.vertex_requests += r.vertex_requests;
-        stats.cache_hits += r.cache_hits;
-        stats.cache_requests += r.cache_requests;
-        stats.cache_evictions += r.cache_evictions;
-        stats.comper_idle_rounds += r.comper_idle_rounds;
-        stats.comper_rounds += r.comper_rounds;
-        stats.ledger.Accumulate(r.ledger);
-        stats.tasks_live_at_exit += r.tasks_live;
-        stats.drained_messages += r.drained_messages;
-      }
-      stats.steal_orders = hub.SentCount(MsgType::kStealOrder);
-
-      // The same conservation verdict Run() enforces; the summed ledger now
-      // spans OS processes, so it additionally certifies that no task
-      // batch was lost or duplicated crossing the sockets.
-      stats.tasks_lost =
-          stats.ledger.ExpectedLive() - stats.tasks_live_at_exit;
-      GT_CHECK_EQ(stats.tasks_lost, 0)
-          << "task-conservation violation across processes: spawned="
-          << stats.ledger.spawned << " restored=" << stats.ledger.restored
-          << " received=" << stats.ledger.received
-          << " finished=" << stats.ledger.finished
-          << " donated=" << stats.ledger.donated
-          << " dropped=" << stats.ledger.dropped
-          << " live_at_exit=" << stats.tasks_live_at_exit;
-      if (!stats.timed_out && stats.ledger.dropped == 0) {
-        GT_CHECK_EQ(stats.tasks_live_at_exit, 0)
-            << "clean termination left live tasks behind";
-      }
-    } else {
-      // Non-zero ranks: the worker follows the master's broadcasts; the
-      // comm thread exits once the drain proved the wire empty.
-      worker->Join();
-      stats.elapsed_s = wall.ElapsedSeconds();
-      const auto s = worker->SampleLiveStatus();
-      stats.tasks_spawned = s.tasks_spawned;
-      stats.tasks_finished = s.tasks_finished;
-      stats.spilled_batches = s.spilled_batches;
-      stats.stolen_batches = s.stolen_batches;
-    }
-
-    // Every rank certifies its own transport drained: both FLUSH rounds
-    // completed, send queues flushed, inboxes empty, nothing unprocessed.
-    if (!stats.timed_out) {
-      Timer drain_wait;
-      while (hub.InFlightCount() != 0 && drain_wait.ElapsedSeconds() < 30.0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      GT_CHECK_EQ(hub.InFlightCount(), 0)
-          << "rank " << rank << ": shutdown left undrained transport state";
-    }
-
-    stats.batches_sent = hub.TotalBatchesSent();
-    stats.bytes_sent = hub.TotalBytesSent();
-    worker->FinalizeObs();
-    // Stop the transport before snapshotting so teardown accounting (any
-    // transport.batches_abandoned frames) reaches the job report.
-    hub.Shutdown();
-    stats.metrics.push_back(worker->MetricsSnapshot());
-    stats.metrics.push_back(hub.MetricsSnapshot());
-    stats.peak_mem_bytes.push_back(worker->PeakMemBytes());
-    stats.max_peak_mem_bytes = worker->PeakMemBytes();
-    stats.records_output = worker->RecordsOutput();
-
-    worker.reset();
-    if (own_spill_root) RemoveTree(spill_root);
-
-    // A no-op off rank 0 (non-master ranks return AggZero()).
-    if (!layout.empty()) MapResultToOriginalIds(&global, layout);
-    out.result = std::move(global);
-    return out;
+    return CommHub(endpoints,
+                   std::make_unique<net::TcpTransport>(std::move(topts)));
   }
 
- private:
-  static void MergeInto(AggT* target, const std::string& blob) {
-    AggT delta{};
-    Deserializer des(blob);
-    GT_CHECK_OK(Codec<AggT>::Decode(des, &delta));
-    *target = ComperT::AggMerge(*target, delta);
-  }
-
-  static void LoadInput(const Job<ComperT>& job,
+  /// Walks the input once and hands each vertex to its hash owner when the
+  /// owner is local, `workers` holding workers [first, first + size). Over
+  /// TCP each rank so materializes only its own slice: per-rank memory
+  /// stays O(|V|/p) for the vertex table, and the read-only input graph is
+  /// shared copy-on-write when the launcher forks.
+  static void LoadInput(const Job<ComperT>& job, int first,
                         std::vector<std::unique_ptr<WorkerT>>* workers) {
     const int num_workers = job.config.num_workers;
+    // nullptr when v's owner runs in another process.
+    const auto local_owner = [&](VertexId v) -> WorkerT* {
+      const size_t slot =
+          static_cast<size_t>(WorkerT::OwnerOf(v, num_workers) - first);
+      return slot < workers->size() ? (*workers)[slot].get() : nullptr;
+    };
     if (job.graph != nullptr) {
       const Graph& g = *job.graph;
       for (VertexId v = 0; v < g.NumVertices(); ++v) {
+        WorkerT* owner = local_owner(v);
+        if (owner == nullptr) continue;
         VertexT vertex;
         vertex.id = v;
         BuildVertexValue(g, job.labels, v, &vertex.value);
-        (*workers)[WorkerT::OwnerOf(v, num_workers)]->AddLocalVertex(
-            std::move(vertex));
+        owner->AddLocalVertex(std::move(vertex));
       }
     } else {
       // Adjacency-format part files on the DFS; the driver parses lines and
@@ -1096,39 +594,18 @@ class Cluster {
       for (const std::string& key : keys) {
         std::string blob;
         GT_CHECK_OK(job.dfs->Get(key, &blob));
-        size_t pos = 0;
-        while (pos < blob.size()) {
-          size_t nl = blob.find('\n', pos);
-          if (nl == std::string::npos) nl = blob.size();
-          const std::string line = blob.substr(pos, nl - pos);
-          pos = nl + 1;
+        std::istringstream lines(blob);
+        for (std::string line; std::getline(lines, line);) {
           if (line.empty()) continue;
           VertexT vertex;
           GT_CHECK_OK(ParseDfsLine(line, &vertex));
-          (*workers)[WorkerT::OwnerOf(vertex.id, num_workers)]->AddLocalVertex(
-              std::move(vertex));
+          if (WorkerT* owner = local_owner(vertex.id)) {
+            owner->AddLocalVertex(std::move(vertex));
+          }
         }
       }
     }
     for (auto& worker : *workers) worker->FinalizeLoad();
-  }
-
-  /// Distributed variant of LoadInput: every process walks the same shared
-  /// graph but materializes only the slice its rank hash-owns, so per-rank
-  /// memory stays O(|V|/p) for the vertex table (the read-only input graph
-  /// itself is shared copy-on-write when the launcher forks).
-  static void LoadInputRank(const Job<ComperT>& job, int rank,
-                            WorkerT* worker) {
-    const int num_workers = job.config.num_workers;
-    const Graph& g = *job.graph;
-    for (VertexId v = 0; v < g.NumVertices(); ++v) {
-      if (WorkerT::OwnerOf(v, num_workers) != rank) continue;
-      VertexT vertex;
-      vertex.id = v;
-      BuildVertexValue(g, job.labels, v, &vertex.value);
-      worker->AddLocalVertex(std::move(vertex));
-    }
-    worker->FinalizeLoad();
   }
 
   static Status ParseDfsLine(const std::string& line,
@@ -1139,16 +616,6 @@ class Cluster {
   static Status ParseDfsLine(const std::string&, V*) {
     return Status::InvalidArgument(
         "DFS loading supports AdjList vertex values only");
-  }
-
-  static void CommitCheckpointMeta(const Job<ComperT>& job, uint64_t epoch,
-                                   const AggT& global, int num_workers) {
-    Serializer ser;
-    ser.Write(epoch);
-    ser.Write<int32_t>(num_workers);
-    Codec<AggT>::Encode(ser, global);
-    GT_CHECK_OK(job.checkpoint_dfs->Put(
-        "ckpt/" + std::to_string(epoch) + "/meta", ser.Release()));
   }
 
   static AggT Restore(const Job<ComperT>& job,
@@ -1173,37 +640,6 @@ class Cluster {
       GT_CHECK_OK((*workers)[w]->RestoreFromCheckpoint(blob));
     }
     return global;
-  }
-
-  /// Sends one steal order per starving worker, from the most loaded one
-  /// (paper §V-B "Task Stealing": idle machines prefetch task batches from
-  /// busy machines via master-made plans).
-  static void PlanSteals(const std::vector<ProgressReport>& latest,
-                         const JobConfig& config, int master_id,
-                         CommHub* hub) {
-    const int64_t batch = config.task_batch_size;
-    for (size_t i = 0; i < latest.size(); ++i) {
-      if (latest[i].idle == 0 || latest[i].remaining_estimate > 0) continue;
-      // worker i is starving; find the most loaded donor
-      int donor = -1;
-      int64_t best = 2 * batch;  // only steal from meaningfully-loaded donors
-      for (size_t j = 0; j < latest.size(); ++j) {
-        if (j == i) continue;
-        if (latest[j].remaining_estimate > best) {
-          best = latest[j].remaining_estimate;
-          donor = static_cast<int>(j);
-        }
-      }
-      if (donor < 0) continue;
-      MessageBatch mb;
-      mb.src_worker = master_id;
-      mb.dst_worker = donor;
-      mb.type = MsgType::kStealOrder;
-      // Stamp the order with the hub clock; the recipient of the resulting
-      // kTaskBatch closes the round-trip measurement (steal.rtt_us).
-      mb.payload = EncodeStealOrder(static_cast<int32_t>(i), hub->NowUs());
-      hub->Send(std::move(mb));
-    }
   }
 };
 

@@ -10,11 +10,13 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -450,34 +452,83 @@ TEST(TransportTcp, TinySndbufSplitsFramesLosslessly) {
 // ---------------------------------------------------------------------------
 // Backpressure regression: Send() blocks above send_buffer_max_bytes, and
 // blocked senders must wake promptly as the IO thread drains the queue — not
-// after a poll-timeout beat. A burst 32x the cap completing inside the test
-// deadline while the receiver consumes concurrently proves the wakeups are
-// event-driven.
+// after a poll-timeout beat. The cap must engage by construction, not by
+// outrunning the receiver: rank 1 runs in a forked child that is stopped
+// right after the handshake, so with a 4 KB SO_SNDBUF the kernel absorbs a
+// small part of the 2 MB burst and the rest piles up against the 64 KB cap.
+// The child resumes once a blocked sender is counted; the burst completing
+// inside the deadline from there proves the wakeups are event-driven.
 // ---------------------------------------------------------------------------
 TEST(TransportTcp, BackpressureWaitersWakePromptly) {
-  TcpTuning tuning;
-  tuning.send_buffer_max_bytes = 64 << 10;
-  TcpBackend backend(2, tuning);
   constexpr int kBatches = 128;
   const std::string body(16 << 10, 'z');  // 128 * 16KB = 32x the cap
-  std::thread consumer([&] {
-    CommHub& receiver = backend.HubFor(1);
+  std::vector<std::string> hosts;
+  for (int p : PickFreePorts(2)) {
+    hosts.push_back("127.0.0.1:" + std::to_string(p));
+  }
+  const auto make_hub = [&hosts](int rank) {
+    net::TcpTransportOptions opts;
+    opts.rank = rank;
+    opts.num_workers = 2;
+    opts.hosts = hosts;
+    opts.connect_timeout_ms = 10'000;
+    opts.sndbuf_bytes = 4096;
+    opts.send_buffer_max_bytes = 64 << 10;
+    return std::make_unique<CommHub>(
+        3, std::make_unique<net::TcpTransport>(std::move(opts)));
+  };
+
+  // Forked before this process starts any thread.
+  int ready[2];
+  ASSERT_EQ(::pipe(ready), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // Rank 1: handshake, announce readiness, consume the burst. Exit codes
+    // name the failing step; _exit skips the parent's gtest state.
+    ::close(ready[0]);
+    auto receiver = make_hub(1);
+    if (!receiver->Start().ok()) ::_exit(2);
+    const char byte = 1;
+    if (::write(ready[1], &byte, 1) != 1) ::_exit(3);
     for (int i = 0; i < kBatches; ++i) {
       MessageBatch got;
-      ASSERT_TRUE(receiver.Receive(1, 10'000'000, &got)) << "at " << i;
-      ASSERT_EQ(got.payload.size(), body.size());
-      receiver.MarkProcessed(got.type);
+      if (!receiver->Receive(1, 10'000'000, &got)) ::_exit(4);
+      if (got.payload.size() != body.size()) ::_exit(5);
+      receiver->MarkProcessed(got.type);
     }
+    ::_exit(0);
+  }
+  ::close(ready[1]);
+  auto sender = make_hub(0);
+  ASSERT_TRUE(sender->Start().ok());
+  char byte = 0;
+  ASSERT_EQ(::read(ready[0], &byte, 1), 1);
+  ::close(ready[0]);
+  ASSERT_EQ(::kill(child, SIGSTOP), 0);
+
+  const std::string waits = "transport.backpressure_waits{peer=1}";
+  // Resumes the receiver once a sender blocked on the cap; the deadline
+  // turns a cap that never engages into a failed assertion, not a hang.
+  std::thread resumer([&] {
+    Timer deadline;
+    while (CounterValue(sender->MetricsSnapshot(), waits) <= 0 &&
+           deadline.ElapsedSeconds() < 30.0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ::kill(child, SIGCONT);
   });
   Timer t;
   for (int i = 0; i < kBatches; ++i) {
-    backend.HubFor(0).Send(
-        Make(0, 1, MsgType::kVertexRequest, body));
+    sender->Send(Make(0, 1, MsgType::kVertexRequest, body));
   }
   const double send_s = t.ElapsedSeconds();
-  consumer.join();
-  const auto snap = backend.HubFor(0).MetricsSnapshot();
-  EXPECT_GT(CounterValue(snap, "transport.backpressure_waits{peer=1}"), 0)
+  resumer.join();
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "receiver rank status " << status;
+  EXPECT_GT(CounterValue(sender->MetricsSnapshot(), waits), 0)
       << "cap never engaged; raise the burst size";
   // Loopback moves 2MB in well under a second when wakeups are prompt; a
   // second per wait (the old poll beat) would blow far past this.
