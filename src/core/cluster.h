@@ -165,6 +165,8 @@ class Cluster {
  private:
   /// `rank` of an in-process run: this process hosts every worker.
   static constexpr int kAllRanks = -1;
+  /// Event-ring capacity each local worker adds with span tracing on.
+  static constexpr size_t kSpanEventsPerWorker = size_t{1} << 16;
 
   /// The rank runtime: runs `rank`'s worker (every worker for kAllRanks)
   /// and, where worker 0 lives, the master.
@@ -219,13 +221,18 @@ class Cluster {
     CommHub hub = MakeHub(config, rank);
     GT_CHECK_OK(hub.Start());
 
-    // Flight recorder: always-on bounded ring of recent structural events
-    // (knob `flight_recorder_events`; 0 disables), declared before the
-    // workers so it outlives every thread recording into it. The crash
-    // handlers dump it on a fatal check, SIGTERM/SIGINT or a budget exit.
-    obs::FlightRecorder::SetDumpDir(config.flight_dump_dir);
-    obs::FlightRecorder::InstallCrashHandlers();
-    obs::FlightRecorder flight(config.flight_recorder_events);
+    // The job's one event ring (obs/flight_recorder.h), shared by the local
+    // workers and the master and declared before them so it outlives every
+    // thread recording into it: `flight_recorder_events` for scheduler
+    // transitions, plus kSpanEventsPerWorker per local worker for per-task
+    // events when span tracing is on. Capacity 0 means no ring. The crash
+    // handlers dump it on a fatal check or SIGTERM/SIGINT, the master on a
+    // budget exit; JobStats::spans and the Chrome trace read it after.
+    obs::FlightRecorder flight(
+        static_cast<size_t>(config.flight_recorder_events) +
+            (config.enable_span_tracing ? kSpanEventsPerWorker * count : 0),
+        config.flight_dump_dir);
+    if (flight.enabled()) obs::FlightRecorder::InstallCrashHandlers();
 
     const auto make_dir = [](const std::string& dir) {
       std::error_code ec;
@@ -490,13 +497,17 @@ class Cluster {
       }
     }
 
-    if (config.enable_tracing) {
-      CollectRings(workers, &WorkerT::trace, &stats.trace,
-                   &stats.trace_events_total);
-    }
     if (config.enable_span_tracing) {
-      CollectRings(workers, &WorkerT::spans, &stats.spans,
-                   &stats.span_events_total);
+      // Hub-clock timestamps share one epoch across workers, so a sort
+      // gives true job-wide ordering (execute events carry their start).
+      for (const obs::Event& e : flight.Snapshot()) {
+        if (obs::IsSpanKind(e.kind)) stats.spans.push_back(e);
+      }
+      std::stable_sort(stats.spans.begin(), stats.spans.end(),
+                       [](const obs::Event& a, const obs::Event& b) {
+                         return a.t_us < b.t_us;
+                       });
+      stats.span_events_total = flight.span_events_total();
     }
 
     // Phase-attribution profile: where every comper's wall time went, from
@@ -522,24 +533,6 @@ class Cluster {
     if (!layout.empty()) MapResultToOriginalIds(&global, layout);
     out.result = std::move(global);
     return out;
-  }
-
-  /// Appends every local worker's event ring (`ring_of`, null when off) to
-  /// `events` and counts all events ever recorded into `total`. Hub-clock
-  /// timestamps share one epoch across workers, so a global sort gives true
-  /// cluster-wide ordering.
-  template <typename Ring, typename Event>
-  static void CollectRings(const std::vector<std::unique_ptr<WorkerT>>& workers,
-                           const Ring* (WorkerT::*ring_of)() const,
-                           std::vector<Event>* events, int64_t* total) {
-    for (const auto& worker : workers) {
-      const Ring* ring = ((*worker).*ring_of)();
-      if (ring == nullptr) continue;
-      *total += ring->total();
-      for (const Event& e : ring->Snapshot()) events->push_back(e);
-    }
-    std::sort(events->begin(), events->end(),
-              [](const Event& a, const Event& b) { return a.t_us < b.t_us; });
   }
 
   /// Builds the hub: in-process mailboxes for every endpoint, or this

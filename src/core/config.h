@@ -8,13 +8,12 @@
 #include <vector>
 
 #include "core/protocol.h"
-#include "core/trace.h"
 #include "core/wire_codec.h"
 #include "net/message.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/phase_profile.h"
 #include "obs/sampler.h"
-#include "obs/span_trace.h"
 #include "util/status.h"
 
 namespace gthinker {
@@ -210,9 +209,6 @@ struct JobConfig {
   /// spawn-new-tasks-first instead of the paper's spilled-files-first rule,
   /// to measure how the rule bounds disk-resident tasks.
   bool refill_spawn_first = false;
-  /// Record task lifecycle events into per-worker rings, returned in
-  /// JobStats::trace (debugging facility; leave off for benchmarks).
-  bool enable_tracing = false;
 
   // ---- observability (docs/OBSERVABILITY.md) ----
   /// Period of the master's gauge sampler (0 = off): every metrics_sample_ms
@@ -220,8 +216,9 @@ struct JobConfig {
   /// backlog and disk-resident tasks into JobStats::timeseries.
   int64_t metrics_sample_ms = 0;
   /// Record per-task lifecycle spans (spawn/pending/ready/execute/finish
-  /// with task IDs) into per-worker rings, merged into JobStats::spans and
-  /// exportable as a Chrome trace (obs::WriteChromeTrace / trace_path).
+  /// with task IDs) into the job's event ring, returned in JobStats::spans
+  /// and exportable as a Chrome trace (obs::WriteChromeTrace / trace_path).
+  /// Adds 65536 events per local worker to the ring's capacity.
   bool enable_span_tracing = false;
   /// When non-empty, Cluster::Run writes the JSON run report here.
   std::string report_path;
@@ -233,12 +230,13 @@ struct JobConfig {
   /// /metrics (Prometheus), /status.json and /healthz for the duration of
   /// Cluster::Run.
   int status_port = 0;
-  /// Capacity (events per job) of the always-on flight recorder ring
-  /// (obs/flight_recorder.h); 0 disables it. Recent scheduler transitions
-  /// are dumped to JSON on fatal ledger violations, timeout exits and
-  /// SIGTERM/SIGINT.
+  /// Events per job the always-on flight recorder (the job's event ring,
+  /// obs/flight_recorder.h) keeps for scheduler transitions. The ring's
+  /// capacity is this plus 65536 per local worker with span tracing on; a
+  /// capacity of 0 means no ring. It is dumped to JSON on fatal ledger
+  /// violations, timeout exits and SIGTERM/SIGINT.
   int64_t flight_recorder_events = 4096;
-  /// Directory for flight-recorder crash dumps; empty = the
+  /// Directory for this job's flight-recorder dumps; empty = the
   /// GT_FLIGHT_DUMP_DIR environment variable, else stderr.
   std::string flight_dump_dir;
   /// Record per-comper phase timers (compute / pull-wait / queue-wait /
@@ -469,20 +467,16 @@ struct JobStats {
   // Records emitted through Comper::Output.
   int64_t records_output = 0;
 
-  // Task lifecycle trace (only when JobConfig::enable_tracing): the newest
-  // events per worker, merged; trace_events_total counts all recorded.
-  std::vector<TraceEvent> trace;
-  int64_t trace_events_total = 0;
-
   // ---- observability payloads ----
   /// Per-scope metric snapshots: one per worker ("worker<i>") plus the hub
   /// ("hub"). Always populated (recording is lock-free counters).
   std::vector<obs::MetricsSnapshot> metrics;
   /// Sampled gauge time-series (only when metrics_sample_ms > 0).
   std::vector<obs::TimeSeries> timeseries;
-  /// Per-task lifecycle spans merged over workers, hub-clock-ordered (only
-  /// when enable_span_tracing); span_events_total counts all recorded.
-  std::vector<obs::SpanEvent> spans;
+  /// Span-kind events of the job's ring from the local workers,
+  /// hub-clock-ordered (only when enable_span_tracing); span_events_total
+  /// counts all recorded.
+  std::vector<obs::Event> spans;
   int64_t span_events_total = 0;
   /// Post-run phase-attribution profile (only when enable_phase_profile):
   /// per-worker / per-comper compute vs. wait decomposition plus straggler

@@ -65,12 +65,14 @@ class Master {
           wall.ElapsedSeconds() > config_.time_budget_s) {
         stats_->timed_out = true;
         terminate = true;
-        // A budget exit is a diagnosis moment: dump the recent event history
-        // so the state that failed to converge is inspectable post-mortem.
-        flight_->Record(obs::FlightKind::kTimeout, /*worker=*/-1,
-                        /*comper=*/-1,
-                        static_cast<int64_t>(wall.ElapsedSeconds()));
-        obs::FlightRecorder::WriteCrashDump("timeout");
+        // A budget exit is a diagnosis moment: dump this job's event
+        // history up to the timeout so the state that failed to converge is
+        // inspectable post-mortem.
+        const int64_t now_us = hub_->NowUs();
+        flight_->Record({.t_us = now_us,
+                         .kind = obs::EventKind::kTimeout,
+                         .a = static_cast<int64_t>(wall.ElapsedSeconds())});
+        flight_->WriteDump("timeout", now_us);
       }
 
       if (!terminate) StepCheckpoint();

@@ -28,7 +28,6 @@
 #include "net/comm_hub.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/span_trace.h"
 #include "storage/async_spill.h"
 #include "storage/file_list.h"
 #include "storage/mini_dfs.h"
@@ -75,10 +74,6 @@ class Worker {
                     config.comm.wire_encoding),
         metrics_("worker" + std::to_string(worker_id)) {
     master_id_ = config_.num_workers;  // master mailbox index
-    if (config_.enable_tracing) trace_ = std::make_unique<TraceRing>();
-    if (config_.enable_span_tracing) {
-      spans_ = std::make_unique<obs::SpanRing>(1 << 16);
-    }
     task_wait_us_ = metrics_.GetHistogram("task.wait_us");
     steal_rtt_us_ = metrics_.GetHistogram("steal.rtt_us");
     spill_write_us_ = metrics_.GetHistogram("spill.write_us");
@@ -257,10 +252,11 @@ class Worker {
     // ---- Comper<>::Runtime ----
     void AddTask(std::unique_ptr<TaskT> task) override {
       worker_->OnTaskSpawned();
-      worker_->Trace(index_, TaskEvent::kSpawned);
-      if (worker_->spans_ != nullptr) {
+      if (worker_->config_.enable_span_tracing) {
         task->set_span_id(worker_->NextSpanId());
-        worker_->Span(task->span_id(), index_, obs::SpanPhase::kSpawn);
+        worker_->Record({.task_id = task->span_id(),
+                         .comper = index_,
+                         .kind = obs::EventKind::kSpawn});
       }
       AddToQueue(std::move(task));
     }
@@ -348,9 +344,10 @@ class Worker {
         }
       }
       if (ready != nullptr) {
-        worker_->Trace(index_, TaskEvent::kReady);
         worker_->task_wait_us_->Record(worker_->hub_->NowUs() - pending_at_us);
-        worker_->Span(ready->span_id(), index_, obs::SpanPhase::kReady);
+        worker_->Record({.task_id = ready->span_id(),
+                         .comper = index_,
+                         .kind = obs::EventKind::kReady});
         // Push to B_task *before* shrinking the T_task mirror: a reader that
         // sees the smaller t_size_ then also sees the task in B_task, so the
         // task is never invisible to both.
@@ -454,11 +451,13 @@ class Worker {
             auto task = std::make_unique<TaskT>();
             Deserializer des(rec);
             GT_CHECK_OK(task->Deserialize(des));
-            if (worker_->spans_ != nullptr) {
+            if (worker_->config_.enable_span_tracing) {
               // Fresh span: the disk round-trip (or a steal) broke the old
               // lifecycle, so the reloaded task starts a new one here.
               task->set_span_id(worker_->NextSpanId());
-              worker_->Span(task->span_id(), index_, obs::SpanPhase::kLoaded);
+              worker_->Record({.task_id = task->span_id(),
+                               .comper = index_,
+                               .kind = obs::EventKind::kLoaded});
             }
             worker_->mem_.Consume(task->MemoryBytes());
             q_.push_back(std::move(task));
@@ -468,12 +467,12 @@ class Worker {
               static_cast<int64_t>(records.size()), std::memory_order_relaxed);
           worker_->refill_spill_tasks_->Add(
               static_cast<int64_t>(records.size()));
-          worker_->Trace(index_, TaskEvent::kLoadedBatch);
           if (phase_spill_ != nullptr) {
             phase_spill_->Add(spill_timer.ElapsedMicros());
           }
-          worker_->Flight(obs::FlightKind::kSpillLoad, index_,
-                          static_cast<int64_t>(records.size()));
+          worker_->Record({.comper = index_,
+                           .kind = obs::EventKind::kSpillLoad,
+                           .a = static_cast<int64_t>(records.size())});
           continue;
         }
         if (worker_->config_.refill_spawn_first) break;
@@ -496,8 +495,9 @@ class Worker {
         user_->TaskSpawn(worker_->local_[slot]);  // UDF; calls AddTask
       }
       worker_->refill_spawn_tasks_->Add(static_cast<int64_t>(end - begin));
-      worker_->Flight(obs::FlightKind::kSpawnBatch, index_,
-                      static_cast<int64_t>(end - begin));
+      worker_->Record({.comper = index_,
+                       .kind = obs::EventKind::kSpawnBatch,
+                       .a = static_cast<int64_t>(end - begin)});
       return true;
     }
 
@@ -525,14 +525,14 @@ class Worker {
         worker_->spilled_batches_.fetch_add(1, std::memory_order_relaxed);
         worker_->tasks_spilled_.fetch_add(static_cast<int64_t>(batch),
                                           std::memory_order_relaxed);
-        worker_->Trace(index_, TaskEvent::kSpilledBatch);
         if (phase_spill_ != nullptr) {
           const int64_t us = spill_timer.ElapsedMicros();
           phase_spill_->Add(us);
           spill_us_ += us;
         }
-        worker_->Flight(obs::FlightKind::kSpillWrite, index_,
-                        static_cast<int64_t>(batch));
+        worker_->Record({.comper = index_,
+                         .kind = obs::EventKind::kSpillWrite,
+                         .a = static_cast<int64_t>(batch)});
       }
       q_.push_back(std::move(task));
       q_size_.store(q_.size(), std::memory_order_release);
@@ -550,8 +550,9 @@ class Worker {
         return;
       }
       const uint64_t tid = MakeTaskId(index_, seq_++);
-      worker_->Trace(index_, TaskEvent::kPending);
-      worker_->Span(task->span_id(), index_, obs::SpanPhase::kPending);
+      worker_->Record({.task_id = task->span_id(),
+                       .comper = index_,
+                       .kind = obs::EventKind::kPending});
       const int64_t pending_at_us = worker_->hub_->NowUs();
       TaskT* raw = task.get();
       {
@@ -591,9 +592,10 @@ class Worker {
       }
       if (ready != nullptr) {
         // The responses raced in while we were still registering pulls.
-        worker_->Trace(index_, TaskEvent::kReady);
         worker_->task_wait_us_->Record(worker_->hub_->NowUs() - pending_at_us);
-        worker_->Span(ready->span_id(), index_, obs::SpanPhase::kReady);
+        worker_->Record({.task_id = ready->span_id(),
+                         .comper = index_,
+                         .kind = obs::EventKind::kReady});
         worker_->mem_.Release(ready->MemoryBytes());
         ExecuteIteration(std::move(ready));
       }
@@ -644,11 +646,13 @@ class Worker {
         // compute to keep the phases disjoint.
         phase_compute_->Add(compute_us - (spill_us_ - spill_us_before));
       }
-      worker_->Trace(index_, TaskEvent::kExecuted);
-      if (worker_->spans_ != nullptr) {
+      if (worker_->config_.enable_span_tracing) {
         // Stamp the slice at its start so the viewer draws [start, start+dur].
-        worker_->Span(task->span_id(), index_, obs::SpanPhase::kExecute,
-                      compute_us, worker_->hub_->NowUs() - compute_us);
+        worker_->Record({.t_us = worker_->hub_->NowUs() - compute_us,
+                         .dur_us = compute_us,
+                         .task_id = task->span_id(),
+                         .comper = index_,
+                         .kind = obs::EventKind::kExecute});
       }
       task->BumpIteration();
       worker_->mem_.Release(task->MemoryBytes());
@@ -663,8 +667,9 @@ class Worker {
         AddToQueue(std::move(task));
       } else {
         worker_->OnTaskFinished();
-        worker_->Trace(index_, TaskEvent::kFinished);
-        worker_->Span(task->span_id(), index_, obs::SpanPhase::kFinish);
+        worker_->Record({.task_id = task->span_id(),
+                         .comper = index_,
+                         .kind = obs::EventKind::kFinish});
       }
     }
 
@@ -687,20 +692,19 @@ class Worker {
           static_cast<int64_t>(split_scratch_.size()));
       // Split() bumps the generation; parent and children now share it.
       worker_->split_depth_us_->Record(parent->split_depth());
-      worker_->Flight(obs::FlightKind::kSplit, index_,
-                      static_cast<int64_t>(split_scratch_.size()),
-                      static_cast<int64_t>(parent->split_depth()));
-      if (worker_->spans_ != nullptr) {
-        worker_->Span(parent->span_id(), index_, obs::SpanPhase::kSplit);
-      }
+      worker_->Record({.task_id = parent->span_id(),
+                       .comper = index_,
+                       .kind = obs::EventKind::kSplit,
+                       .a = static_cast<int64_t>(split_scratch_.size()),
+                       .b = static_cast<int64_t>(parent->split_depth())});
       for (auto& child : split_scratch_) {
         worker_->OnTaskSpawned();
-        worker_->Trace(index_, TaskEvent::kSpawned);
-        if (worker_->spans_ != nullptr) {
+        if (worker_->config_.enable_span_tracing) {
           child->set_span_id(worker_->NextSpanId());
-          worker_->Span(child->span_id(), index_, obs::SpanPhase::kSpawn,
-                        /*dur_us=*/0, /*t_us=*/-1,
-                        /*parent_task_id=*/parent->span_id());
+          worker_->Record({.task_id = child->span_id(),
+                           .parent_task_id = parent->span_id(),
+                           .comper = index_,
+                           .kind = obs::EventKind::kSpawn});
         }
         AddToQueue(std::move(child));
       }
@@ -851,36 +855,16 @@ class Worker {
     live_tasks_.fetch_sub(1);
   }
 
-  void Trace(int comper, TaskEvent kind) {
-    if (trace_ != nullptr) {
-      trace_->Record(static_cast<int16_t>(id_), static_cast<int16_t>(comper),
-                     kind);
-    }
-  }
-
-  /// Span-trace event (no-op unless enable_span_tracing). `t_us` < 0 means
-  /// "now"; kExecute passes the slice start instead.
-  void Span(uint64_t task_id, int comper, obs::SpanPhase phase,
-            int64_t dur_us = 0, int64_t t_us = -1,
-            uint64_t parent_task_id = 0) {
-    if (spans_ == nullptr) return;
-    obs::SpanEvent e;
-    e.t_us = t_us >= 0 ? t_us : hub_->NowUs();
-    e.dur_us = dur_us;
-    e.task_id = task_id;
-    e.parent_task_id = parent_task_id;
-    e.worker = static_cast<int16_t>(id_);
-    e.comper = static_cast<int16_t>(comper);
-    e.phase = phase;
-    spans_->Record(e);
-  }
-
-  /// Flight-recorder event (no-op until the cluster wires a recorder).
-  /// Hub-clock timestamps so flight events interleave correctly with spans.
-  void Flight(obs::FlightKind kind, int comper, int64_t a = 0, int64_t b = 0) {
-    if (flight_ != nullptr) {
-      flight_->Record(kind, id_, comper, a, b, hub_->NowUs());
-    }
+  /// Records `e` into the job's event ring, stamped with this worker and,
+  /// except for kExecute (which carries its slice start), hub time now.
+  /// A no-op until the cluster wires a ring, and for per-task kinds unless
+  /// enable_span_tracing.
+  void Record(obs::Event e) {
+    if (flight_ == nullptr) return;
+    if (obs::IsTaskKind(e.kind) && !config_.enable_span_tracing) return;
+    e.worker = id_;
+    if (e.kind != obs::EventKind::kExecute) e.t_us = hub_->NowUs();
+    flight_->Record(e);
   }
 
   /// Globally-unique span identity: worker in the high 16 bits, a local
@@ -1035,12 +1019,12 @@ class Worker {
   /// of evaporating in a dropped inbox (the old behavior on the
   /// time_budget_s timeout path).
   void DrainAndReport() {
-    Flight(obs::FlightKind::kDrain, -1, /*phase=*/0);  // quiescing compers
+    Record({.kind = obs::EventKind::kDrain, .a = 0});  // quiescing compers
     while (compers_running_.load(std::memory_order_acquire) > 0) {
       PumpOneDrainMessage();  // keep the wire moving while compers wind down
     }
     FlushAllRequests();
-    Flight(obs::FlightKind::kDrain, -1, /*phase=*/1);  // barrier sent
+    Record({.kind = obs::EventKind::kDrain, .a = 1});  // barrier sent
     MessageBatch barrier;
     barrier.src_worker = id_;
     barrier.dst_worker = master_id_;
@@ -1070,7 +1054,7 @@ class Worker {
         break;
       }
     }
-    Flight(obs::FlightKind::kDrain, -1, /*phase=*/deadline_hit ? 3 : 2);
+    Record({.kind = obs::EventKind::kDrain, .a = deadline_hit ? 3 : 2});
     if (deadline_hit) {
       // Pathological peer (should not happen): empty what we can reach so
       // the loss is *accounted* — tasks in abandoned batches move to the
@@ -1099,7 +1083,7 @@ class Worker {
       }
     }
     if (!output_dir_.empty()) FinalFlushOutput();
-    Flight(obs::FlightKind::kDrain, -1, /*phase=*/4);  // final report
+    Record({.kind = obs::EventKind::kDrain, .a = 4});  // final report
     SendProgress(/*final_report=*/true);
     final_sent_.store(true, std::memory_order_release);
   }
@@ -1177,8 +1161,9 @@ class Worker {
           const std::string path = SpillWrite(std::move(records));
           l_file_.PushBack(path, count);
           stolen_batches_.fetch_add(1, std::memory_order_relaxed);
-          Trace(-1, TaskEvent::kStolenBatch);
-          Flight(obs::FlightKind::kStealReceive, -1, count, mb.src_worker);
+          Record({.kind = obs::EventKind::kStealReceive,
+                  .a = count,
+                  .b = mb.src_worker});
         }
         break;
       }
@@ -1215,7 +1200,7 @@ class Worker {
         break;
       }
       case MsgType::kTerminate: {
-        Flight(obs::FlightKind::kTerminate, -1);
+        Record({.kind = obs::EventKind::kTerminate});
         stop_compers_.store(true, std::memory_order_release);
         break;
       }
@@ -1274,8 +1259,9 @@ class Worker {
     tasks_donated_.fetch_add(static_cast<int64_t>(records.size()),
                              std::memory_order_relaxed);
     live_tasks_.fetch_sub(static_cast<int64_t>(records.size()));
-    Flight(obs::FlightKind::kStealDonate, -1,
-           static_cast<int64_t>(records.size()), dst);
+    Record({.kind = obs::EventKind::kStealDonate,
+            .a = static_cast<int64_t>(records.size()),
+            .b = dst});
   }
 
   /// Steal-aware donation splitting (comm thread): a donation record whose
@@ -1311,9 +1297,9 @@ class Worker {
       split_count_->Add(1);
       split_children_->Add(static_cast<int64_t>(children.size()));
       split_depth_us_->Record(task->split_depth());
-      Flight(obs::FlightKind::kSplit, -1,
-             static_cast<int64_t>(children.size()),
-             static_cast<int64_t>(task->split_depth()));
+      Record({.kind = obs::EventKind::kSplit,
+              .a = static_cast<int64_t>(children.size()),
+              .b = static_cast<int64_t>(task->split_depth())});
       Serializer parent_ser;
       task->Serialize(parent_ser);
       keep.push_back(parent_ser.Release());
@@ -1387,8 +1373,9 @@ class Worker {
     report.tasks_on_disk = l_file_.TotalRecords();
     // Ledger delta at progress cadence: a crash dump shows the conservation
     // trajectory (expected vs observed live) right up to the violation.
-    Flight(obs::FlightKind::kLedger, -1, report.ledger.ExpectedLive(),
-           report.tasks_live);
+    Record({.kind = obs::EventKind::kLedger,
+            .a = report.ledger.ExpectedLive(),
+            .b = report.tasks_live});
     report.drained_messages =
         drained_messages_.load(std::memory_order_relaxed);
     {
@@ -1457,7 +1444,8 @@ class Worker {
     const std::string key = "ckpt/" + std::to_string(epoch) + "/worker_" +
                             std::to_string(id_);
     GT_CHECK_OK(checkpoint_dfs_->Put(key, ser.Release()));
-    Flight(obs::FlightKind::kCheckpoint, -1, static_cast<int64_t>(epoch));
+    Record({.kind = obs::EventKind::kCheckpoint,
+            .a = static_cast<int64_t>(epoch)});
     // Cut the aggregator delta for the ack while the compers are still
     // parked: everything committed so far is pre-snapshot by quiescence.
     // Releasing first opened a race where a resumed comper finished a task
@@ -1501,8 +1489,8 @@ class Worker {
   /// Wires the DFS used for checkpoints (set by the cluster before Start).
   void SetCheckpointDfs(MiniDfs* dfs) { checkpoint_dfs_ = dfs; }
 
-  /// Wires the job's flight recorder (set by the cluster before Start; the
-  /// recorder must outlive the worker's threads).
+  /// Wires the job's event ring (set by the cluster before Start; the ring
+  /// must outlive the worker's threads).
   void SetFlightRecorder(obs::FlightRecorder* recorder) {
     flight_ = recorder;
   }
@@ -1513,12 +1501,6 @@ class Worker {
   int64_t RecordsOutput() const {
     return records_output_.load(std::memory_order_relaxed);
   }
-
-  /// Trace ring (null when tracing is disabled).
-  const TraceRing* trace() const { return trace_.get(); }
-
-  /// Span ring (null when span tracing is disabled).
-  const obs::SpanRing* spans() const { return spans_.get(); }
 
   // ---- sampler probes (master thread; each is one relaxed read) ----
   int64_t SampleCacheSize() const { return cache_.ApproxSize(); }
@@ -1692,14 +1674,10 @@ class Worker {
 
   MiniDfs* checkpoint_dfs_ = nullptr;
 
-  // task lifecycle tracing (JobConfig::enable_tracing)
-  std::unique_ptr<TraceRing> trace_;
-
   // observability (docs/OBSERVABILITY.md). The histogram/counter pointers
   // are registered once in the constructor; recording through them is
   // lock-free.
   obs::MetricsRegistry metrics_;
-  std::unique_ptr<obs::SpanRing> spans_;  // JobConfig::enable_span_tracing
   std::atomic<uint64_t> span_seq_{0};
   obs::Histogram* task_wait_us_ = nullptr;
   obs::Histogram* steal_rtt_us_ = nullptr;
@@ -1714,7 +1692,7 @@ class Worker {
   obs::Histogram* split_depth_us_ = nullptr;  // records generation, not time
   /// Comm-thread donation-packing time (worker row of the phase profile).
   obs::Counter* phase_steal_us_ = nullptr;
-  /// Job flight recorder (owned by the cluster); null until wired.
+  /// The job's event ring (owned by the cluster); null until wired.
   obs::FlightRecorder* flight_ = nullptr;
 
   // output collection

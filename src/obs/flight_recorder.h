@@ -4,14 +4,15 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/json.h"
@@ -20,87 +21,120 @@
 
 namespace gthinker::obs {
 
-/// Kinds of scheduler/state-machine transitions the flight recorder keeps.
-/// Events are batch-granularity on purpose: one record per spawn batch,
-/// spill file, steal shipment, split, progress report or drain phase keeps
-/// the always-on overhead negligible while still reconstructing the last
-/// seconds before a crash.
-enum class FlightKind : uint8_t {
-  kSpawnBatch = 0,    // a = tasks spawned in the batch
-  kSplit = 1,         // a = children produced, b = child split depth
-  kSpillWrite = 2,    // a = tasks written to one spill file
-  kSpillLoad = 3,     // a = tasks loaded back from one spill file
-  kStealDonate = 4,   // a = tasks donated, b = destination worker
-  kStealReceive = 5,  // a = tasks received, b = source worker
-  kLedger = 6,        // a = ExpectedLive(), b = live tasks (progress cadence)
-  kDrain = 7,         // a = drain phase (see worker DrainAndReport)
-  kCheckpoint = 8,    // a = checkpoint epoch
-  kTimeout = 9,       // master hit the time budget; a = elapsed seconds
-  kTerminate = 10,    // worker saw kTerminate
+/// Everything a job records, in one vocabulary. The span kinds trace one
+/// task through the paper's Fig. 7 state machine: a healthy task reads
+/// spawn -> (pending -> ready)* -> execute* -> finish, and loaded marks a
+/// task re-entering memory from a spill file (it gets a fresh span id — the
+/// disk round-trip intentionally breaks the span). The remaining kinds are
+/// batch-granularity scheduler transitions (one per spawn batch, spill
+/// file, steal shipment, progress report or drain phase), cheap enough to
+/// record always.
+enum class EventKind : uint8_t {
+  // Span kinds: recorded only with JobConfig::enable_span_tracing, except
+  // kSplit, which is always recorded.
+  kSpawn = 0,
+  kPending = 1,
+  kReady = 2,
+  kExecute = 3,  // carries dur_us: one compute() iteration
+  kFinish = 4,
+  kLoaded = 5,
+  kSplit = 6,  // task = parent span, a = children, b = child split depth
+  // Job-structure kinds.
+  kSpawnBatch = 7,    // a = tasks spawned in the batch
+  kSpillWrite = 8,    // a = tasks written to one spill file
+  kSpillLoad = 9,     // a = tasks loaded back from one spill file
+  kStealDonate = 10,  // a = tasks donated, b = destination worker
+  kStealReceive = 11,  // a = tasks received, b = source worker
+  kLedger = 12,       // a = ExpectedLive(), b = live tasks (progress cadence)
+  kDrain = 13,        // a = drain phase (see worker DrainAndReport)
+  kCheckpoint = 14,   // a = checkpoint epoch
+  kTimeout = 15,      // master hit the time budget; a = elapsed seconds
+  kTerminate = 16,    // worker saw kTerminate
 };
 
-inline const char* FlightKindName(FlightKind kind) {
+/// Per-task kinds, recorded only with JobConfig::enable_span_tracing.
+inline bool IsTaskKind(EventKind kind) { return kind < EventKind::kSplit; }
+
+/// Kinds that make up JobStats::spans and the Chrome trace: the per-task
+/// kinds plus kSplit.
+inline bool IsSpanKind(EventKind kind) { return kind <= EventKind::kSplit; }
+
+inline const char* EventKindName(EventKind kind) {
   switch (kind) {
-    case FlightKind::kSpawnBatch:
-      return "spawn_batch";
-    case FlightKind::kSplit:
+    case EventKind::kSpawn:
+      return "spawn";
+    case EventKind::kPending:
+      return "pending";
+    case EventKind::kReady:
+      return "ready";
+    case EventKind::kExecute:
+      return "execute";
+    case EventKind::kFinish:
+      return "finish";
+    case EventKind::kLoaded:
+      return "loaded";
+    case EventKind::kSplit:
       return "split";
-    case FlightKind::kSpillWrite:
+    case EventKind::kSpawnBatch:
+      return "spawn_batch";
+    case EventKind::kSpillWrite:
       return "spill_write";
-    case FlightKind::kSpillLoad:
+    case EventKind::kSpillLoad:
       return "spill_load";
-    case FlightKind::kStealDonate:
+    case EventKind::kStealDonate:
       return "steal_donate";
-    case FlightKind::kStealReceive:
+    case EventKind::kStealReceive:
       return "steal_receive";
-    case FlightKind::kLedger:
+    case EventKind::kLedger:
       return "ledger";
-    case FlightKind::kDrain:
+    case EventKind::kDrain:
       return "drain";
-    case FlightKind::kCheckpoint:
+    case EventKind::kCheckpoint:
       return "checkpoint";
-    case FlightKind::kTimeout:
+    case EventKind::kTimeout:
       return "timeout";
-    case FlightKind::kTerminate:
+    case EventKind::kTerminate:
       return "terminate";
   }
   return "unknown";
 }
 
-/// One recorded transition. Timestamps use the hub clock when the caller has
-/// one (workers do), so flight events line up with span traces; otherwise a
-/// process-steady fallback clock.
-struct FlightEvent {
+/// One recorded event. Timestamps come from the hub clock, so events from
+/// every worker and the master share one epoch and interleave correctly.
+struct Event {
   int64_t t_us = 0;
-  int32_t worker = -1;
-  int32_t comper = -1;
-  FlightKind kind = FlightKind::kSpawnBatch;
+  int64_t dur_us = 0;  // only kExecute carries a duration
+  uint64_t task_id = 0;  // span id (span kinds only)
+  /// Span id of the task this one was split from (0 = not a split child):
+  /// the kSpawn of a split child carries it, so a trace viewer can stitch
+  /// the decomposition tree.
+  uint64_t parent_task_id = 0;
+  int32_t worker = -1;  // -1 for the master
+  int32_t comper = -1;  // -1 for worker-level events
+  EventKind kind = EventKind::kSpawn;
   int64_t a = 0;
   int64_t b = 0;
 };
 
-/// Fallback event clock: microseconds since the first call in this process.
-inline int64_t FlightNowUs() {
-  static const std::chrono::steady_clock::time_point epoch =
-      std::chrono::steady_clock::now();
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch)
-      .count();
-}
-
-/// Always-on bounded ring of recent scheduler transitions, one per job,
-/// dumped to JSON when something goes fatally wrong (ledger violation,
-/// timeout exit, SIGTERM/SIGINT). Construction registers the recorder in a
-/// process-global registry so the crash paths — which cannot reach the job's
-/// stack — can find every live job's recorder; destruction unregisters.
+/// The job's one event ring: a bounded ShardedRing of Events that the
+/// Chrome trace, JobStats::spans and the crash dump all read. Construction
+/// registers the ring in a process-global registry so the crash paths —
+/// which cannot reach the job's stack — can find every live job's ring;
+/// destruction unregisters. Each ring dumps to its own job's directory.
 ///
 /// Recording cost is one relaxed fetch_add plus a sharded spinlock push
-/// (see ShardedRing); events are batch-granularity, so a healthy run records
-/// a few hundred events per second per worker at most.
+/// (see ShardedRing); the batch-granularity job-structure kinds add one
+/// more relaxed fetch_add.
 class FlightRecorder {
  public:
-  explicit FlightRecorder(size_t capacity)
-      : enabled_(capacity > 0), ring_(capacity == 0 ? 1 : capacity) {
+  static constexpr int64_t kForever = std::numeric_limits<int64_t>::max();
+
+  /// A capacity of 0 means no ring: Record is a no-op and nothing dumps.
+  /// `dump_dir` empty means "GT_FLIGHT_DUMP_DIR, else stderr".
+  explicit FlightRecorder(size_t capacity, std::string dump_dir = "")
+      : enabled_(capacity > 0),
+        dump_dir_(std::move(dump_dir)),
+        ring_(capacity == 0 ? 1 : capacity) {
     if (enabled_) Register(this);
   }
 
@@ -113,28 +147,32 @@ class FlightRecorder {
 
   bool enabled() const { return enabled_; }
 
-  void Record(FlightKind kind, int worker, int comper, int64_t a = 0,
-              int64_t b = 0, int64_t t_us = -1) {
+  /// Records `e`, which the caller stamped with hub time.
+  void Record(const Event& e) {
     if (!enabled_) return;
-    FlightEvent e;
-    e.t_us = t_us >= 0 ? t_us : FlightNowUs();
-    e.worker = worker;
-    e.comper = comper;
-    e.kind = kind;
-    e.a = a;
-    e.b = b;
+    if (!IsSpanKind(e.kind)) {
+      job_events_.fetch_add(1, std::memory_order_relaxed);
+    }
     ring_.Record(e);
   }
 
   /// Total events ever recorded (including overwritten ones).
   int64_t total() const { return ring_.total(); }
 
-  /// Retained events, oldest first.
-  std::vector<FlightEvent> Snapshot() const { return ring_.Snapshot(); }
+  /// Span-kind events ever recorded (including overwritten ones).
+  int64_t span_events_total() const {
+    return ring_.total() - job_events_.load(std::memory_order_relaxed);
+  }
 
-  /// Writes this recorder's state as one JSON object value.
-  void WriteJson(JsonWriter* w) const {
-    const std::vector<FlightEvent> events = ring_.Snapshot();
+  /// Retained events in arrival order, oldest first.
+  std::vector<Event> Snapshot() const { return ring_.Snapshot(); }
+
+  /// Writes this ring's state as one JSON object value, leaving out events
+  /// stamped after `until_us`.
+  void WriteJson(JsonWriter* w, int64_t until_us = kForever) const {
+    std::vector<Event> events = ring_.Snapshot();
+    std::erase_if(events,
+                  [until_us](const Event& e) { return e.t_us > until_us; });
     w->BeginObject();
     w->Key("recorded_total");
     w->Int(ring_.total());
@@ -142,17 +180,25 @@ class FlightRecorder {
     w->Int(static_cast<int64_t>(events.size()));
     w->Key("events");
     w->BeginArray();
-    for (const FlightEvent& e : events) {
+    for (const Event& e : events) {
       w->BeginObject();
       w->Key("t_us");
       w->Int(e.t_us);
       w->Key("kind");
-      w->String(FlightKindName(e.kind));
+      w->String(EventKindName(e.kind));
       w->Key("worker");
       w->Int(e.worker);
       if (e.comper >= 0) {
         w->Key("comper");
         w->Int(e.comper);
+      }
+      if (IsSpanKind(e.kind)) {
+        w->Key("task");
+        w->UInt(e.task_id);
+      }
+      if (e.kind == EventKind::kExecute) {
+        w->Key("dur_us");
+        w->Int(e.dur_us);
       }
       w->Key("a");
       w->Int(e.a);
@@ -170,43 +216,28 @@ class FlightRecorder {
     return w.Take();
   }
 
-  /// Overrides the dump directory (normally from JobConfig). Empty means
-  /// "use the GT_FLIGHT_DUMP_DIR environment variable, else stderr".
-  static void SetDumpDir(const std::string& dir) {
-    std::lock_guard<std::mutex> lock(RegistryMutex());
-    DumpDir() = dir;
-  }
-
-  /// All live recorders as one JSON document.
-  static std::string DumpAllJson(const char* reason) {
+  /// Dumps this ring's events up to `until_us` as one JSON document:
+  /// to `<dump dir>/gt_flight_<pid>_<n>.json` when the job (or
+  /// GT_FLIGHT_DUMP_DIR) names a directory, else to stderr. Returns true
+  /// when a file was written. Deliberately avoids the logging layer — this
+  /// runs inside the fatal path.
+  bool WriteDump(const char* reason, int64_t until_us = kForever) const {
+    if (!enabled_) return false;
+    if (reason == nullptr) reason = "";
     JsonWriter w;
     w.BeginObject();
     w.Key("reason");
-    w.String(reason == nullptr ? "" : reason);
+    w.String(reason);
     w.Key("pid");
     w.Int(static_cast<int64_t>(::getpid()));
     w.Key("recorders");
     w.BeginArray();
-    {
-      std::lock_guard<std::mutex> lock(RegistryMutex());
-      for (const FlightRecorder* rec : Registry()) rec->WriteJson(&w);
-    }
+    WriteJson(&w, until_us);
     w.EndArray();
     w.EndObject();
-    return w.Take();
-  }
+    const std::string body = w.Take();
 
-  /// Dumps every live recorder: to `<dump dir>/gt_flight_<pid>_<n>.json`
-  /// when a directory is configured (knob or GT_FLIGHT_DUMP_DIR), else to
-  /// stderr. Returns true when a file was written. Deliberately avoids the
-  /// logging layer — this runs inside the fatal path.
-  static bool WriteCrashDump(const char* reason) {
-    const std::string body = DumpAllJson(reason);
-    std::string dir;
-    {
-      std::lock_guard<std::mutex> lock(RegistryMutex());
-      dir = DumpDir();
-    }
+    std::string dir = dump_dir_;
     if (dir.empty()) {
       const char* env = std::getenv("GT_FLIGHT_DUMP_DIR");
       if (env != nullptr) dir = env;
@@ -231,16 +262,27 @@ class FlightRecorder {
     out << body;
     out.close();
     std::fprintf(stderr, "[flight-recorder] wrote crash dump %s (reason: %s)\n",
-                 path.c_str(), reason == nullptr ? "" : reason);
+                 path.c_str(), reason);
     std::fflush(stderr);
     return true;
   }
 
+  /// Dumps every live ring, each to its own job's directory. Returns true
+  /// when any file was written.
+  static bool WriteCrashDump(const char* reason) {
+    std::lock_guard<std::mutex> lock(RegistryMutex());
+    bool wrote = false;
+    for (const FlightRecorder* rec : Registry()) {
+      if (rec->WriteDump(reason)) wrote = true;
+    }
+    return wrote;
+  }
+
   /// Installs the fatal-log hook (GT_CHECK / LOG_FATAL) and SIGTERM/SIGINT
-  /// handlers that dump all live recorders before the process dies. The
-  /// signal path re-raises with the default disposition after dumping, so
-  /// exit codes are unchanged. Idempotent; called from Cluster::Run when the
-  /// recorder is enabled. (The handlers allocate and lock — not strictly
+  /// handlers that dump all live rings before the process dies. The signal
+  /// path re-raises with the default disposition after dumping, so exit
+  /// codes are unchanged. Idempotent; called from Cluster::Run only when the
+  /// job has a ring. (The handlers allocate and lock — not strictly
   /// async-signal-safe, a documented best-effort trade for a dependency-free
   /// dump on the way out.)
   static void InstallCrashHandlers() {
@@ -252,6 +294,7 @@ class FlightRecorder {
     });
   }
 
+ private:
   static void Register(FlightRecorder* rec) {
     std::lock_guard<std::mutex> lock(RegistryMutex());
     Registry().push_back(rec);
@@ -268,7 +311,6 @@ class FlightRecorder {
     }
   }
 
- private:
   static void HandleSignal(int sig) {
     WriteCrashDump(sig == SIGTERM ? "SIGTERM" : "SIGINT");
     std::signal(sig, SIG_DFL);
@@ -285,13 +327,12 @@ class FlightRecorder {
     return registry;
   }
 
-  static std::string& DumpDir() {
-    static std::string dir;
-    return dir;
-  }
-
   const bool enabled_;
-  ShardedRing<FlightEvent> ring_;
+  const std::string dump_dir_;
+  ShardedRing<Event> ring_;
+  /// Job-structure (non-span) events ever recorded, so span_events_total()
+  /// needs no counter on the per-task path.
+  std::atomic<int64_t> job_events_{0};
 };
 
 }  // namespace gthinker::obs

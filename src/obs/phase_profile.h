@@ -11,9 +11,9 @@
 #include <utility>
 #include <vector>
 
+#include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/span_trace.h"
 
 namespace gthinker::obs {
 
@@ -207,7 +207,7 @@ inline int WorkerFromScope(const std::string& scope) {
 /// empty when `enable_phase_profile` was off.
 inline PhaseProfile BuildPhaseProfile(
     const std::vector<MetricsSnapshot>& metrics,
-    const std::vector<SpanEvent>& spans, size_t top_k = 8) {
+    const std::vector<Event>& spans, size_t top_k = 8) {
   PhaseProfile profile;
   for (const MetricsSnapshot& snap : metrics) {
     const int worker = internal_phase::WorkerFromScope(snap.scope);
@@ -278,15 +278,15 @@ inline PhaseProfile BuildPhaseProfile(
     uint64_t parent = 0;
   };
   std::unordered_map<uint64_t, TaskAgg> by_task;
-  for (const SpanEvent& e : spans) {
+  for (const Event& e : spans) {
     if (e.task_id == 0) continue;
-    if (e.phase == SpanPhase::kExecute) {
+    if (e.kind == EventKind::kExecute) {
       TaskAgg& agg = by_task[e.task_id];
       agg.compute_us += e.dur_us;
       ++agg.iterations;
       agg.worker = e.worker;
       agg.comper = e.comper;
-    } else if (e.parent_task_id != 0 && e.phase == SpanPhase::kSpawn) {
+    } else if (e.parent_task_id != 0 && e.kind == EventKind::kSpawn) {
       by_task[e.task_id].parent = e.parent_task_id;
     }
   }

@@ -6,72 +6,19 @@
 #include <string>
 #include <vector>
 
+#include "obs/flight_recorder.h"
 #include "obs/json.h"
-#include "obs/sharded_ring.h"
 #include "util/status.h"
 
 namespace gthinker::obs {
 
-/// Per-task lifecycle phases (paper Fig. 7 state machine): a healthy task
-/// reads spawn -> (pending -> ready)* -> execute* -> finish; loaded marks a
-/// task re-entering memory from a spill file (it gets a fresh span id — the
-/// disk round-trip intentionally breaks the span, mirroring how the task
-/// left the worker's live state).
-enum class SpanPhase : uint8_t {
-  kSpawn = 0,
-  kPending = 1,
-  kReady = 2,
-  kExecute = 3,  // carries dur_us: one compute() iteration
-  kFinish = 4,
-  kLoaded = 5,
-  kSplit = 6,  // task decomposed; children link back via parent_task_id
-};
-
-inline const char* SpanPhaseName(SpanPhase phase) {
-  switch (phase) {
-    case SpanPhase::kSpawn:
-      return "spawn";
-    case SpanPhase::kPending:
-      return "pending";
-    case SpanPhase::kReady:
-      return "ready";
-    case SpanPhase::kExecute:
-      return "execute";
-    case SpanPhase::kFinish:
-      return "finish";
-    case SpanPhase::kLoaded:
-      return "loaded";
-    case SpanPhase::kSplit:
-      return "split";
-  }
-  return "unknown";
-}
-
-/// One span-trace event. Timestamps come from the hub clock, so events from
-/// different workers share an epoch and interleave correctly in a viewer.
-struct SpanEvent {
-  int64_t t_us = 0;
-  int64_t dur_us = 0;  // only kExecute carries a duration
-  uint64_t task_id = 0;
-  /// Span id of the task this one was split from (0 = not a split child):
-  /// the kSpawn of a split child and the kSplit of the parent both carry it,
-  /// so a trace viewer can stitch the decomposition tree.
-  uint64_t parent_task_id = 0;
-  int16_t worker = 0;
-  int16_t comper = 0;  // -1 for worker-level events
-  SpanPhase phase = SpanPhase::kSpawn;
-};
-
-/// Per-worker bounded span store; recording contends only within the
-/// recording thread's shard.
-using SpanRing = ShardedRing<SpanEvent>;
-
-/// Serializes span events as Chrome trace-event JSON ("JSON object format"),
-/// loadable in Perfetto / chrome://tracing: workers map to processes,
-/// compers to threads; execute phases are complete ("X") slices with real
-/// durations, the other phases instant ("i") marks. Timestamps are already
+/// Serializes span-kind events of the job's ring (JobStats::spans) as
+/// Chrome trace-event JSON ("JSON object format"), loadable in Perfetto /
+/// chrome://tracing: workers map to processes, compers to threads; execute
+/// events are complete ("X") slices with real durations, the other kinds
+/// instant ("i") marks. Timestamps are already
 /// microseconds, the unit the format expects.
-inline std::string ChromeTraceJson(const std::vector<SpanEvent>& events,
+inline std::string ChromeTraceJson(const std::vector<Event>& events,
                                    int num_workers = 0) {
   JsonWriter w;
   w.BeginObject();
@@ -96,21 +43,21 @@ inline std::string ChromeTraceJson(const std::vector<SpanEvent>& events,
     w.EndObject();
     w.EndObject();
   }
-  for (const SpanEvent& e : events) {
+  for (const Event& e : events) {
     w.BeginObject();
     w.Key("name");
-    w.String(SpanPhaseName(e.phase));
+    w.String(EventKindName(e.kind));
     w.Key("cat");
     w.String("task");
     w.Key("ph");
-    w.String(e.phase == SpanPhase::kExecute ? "X" : "i");
-    if (e.phase != SpanPhase::kExecute) {
+    w.String(e.kind == EventKind::kExecute ? "X" : "i");
+    if (e.kind != EventKind::kExecute) {
       w.Key("s");  // instant-event scope: thread
       w.String("t");
     }
     w.Key("ts");
     w.Int(e.t_us);
-    if (e.phase == SpanPhase::kExecute) {
+    if (e.kind == EventKind::kExecute) {
       w.Key("dur");
       w.Int(e.dur_us);
     }
@@ -136,7 +83,7 @@ inline std::string ChromeTraceJson(const std::vector<SpanEvent>& events,
 }
 
 inline Status WriteChromeTrace(const std::string& path,
-                               const std::vector<SpanEvent>& events,
+                               const std::vector<Event>& events,
                                int num_workers = 0) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out.is_open()) {

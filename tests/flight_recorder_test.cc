@@ -1,13 +1,17 @@
-// Flight-recorder tests: the bounded event ring must retain the newest
-// transitions, serialize to valid JSON, and — the part that matters in
-// production — dump that JSON to disk when the process dies on a fatal
-// check, exactly the path a task-ledger violation takes.
+// Flight-recorder tests: the job's bounded event ring must retain the
+// newest events, serialize to valid JSON, and — the part that matters in
+// production — dump that JSON to its own job's directory when the process
+// dies on a fatal check (exactly the path a task-ledger violation takes) or
+// the job exceeds its time budget.
 
 #include "obs/flight_recorder.h"
 
 #include <gtest/gtest.h>
+#include <signal.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -15,8 +19,8 @@
 #include <string>
 #include <vector>
 
-#include "apps/maxclique_app.h"
-#include "apps/triangle_app.h"  // TrimToGreater
+#include "apps/maximalclique_app.h"
+#include "apps/triangle_app.h"
 #include "core/cluster.h"
 #include "graph/generator.h"
 #include "obs/json.h"
@@ -32,15 +36,45 @@ std::string ReadFile(const std::string& path) {
   return buf.str();
 }
 
+std::string FreshDir(const std::string& name) {
+  const std::string dir = testing::TempDir() + "/" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+std::vector<std::string> DumpsIn(const std::string& dir) {
+  std::vector<std::string> dumps;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    dumps.push_back(entry.path().string());
+  }
+  return dumps;
+}
+
+// Parses a dump file that must hold exactly one ring; returns its events.
+std::vector<obs::JsonValue> SingleRingEvents(const std::string& path,
+                                             std::string* reason) {
+  obs::JsonValue root;
+  EXPECT_TRUE(obs::JsonParse(ReadFile(path), &root).ok()) << path;
+  if (root.Find("recorders") == nullptr) return {};
+  *reason = root.Find("reason")->string;
+  const std::vector<obs::JsonValue>& recorders = root.Find("recorders")->array;
+  EXPECT_EQ(recorders.size(), 1u) << path;
+  if (recorders.empty()) return {};
+  return recorders[0].Find("events")->array;
+}
+
 TEST(FlightRecorder, RecordsAndSerializes) {
   obs::FlightRecorder rec(64);
   ASSERT_TRUE(rec.enabled());
-  rec.Record(obs::FlightKind::kSpawnBatch, /*worker=*/0, /*comper=*/1,
-             /*a=*/32);
-  rec.Record(obs::FlightKind::kSplit, 0, 1, /*a=*/4, /*b=*/2);
-  rec.Record(obs::FlightKind::kLedger, 1, -1, /*a=*/10, /*b=*/10);
+  rec.Record({.worker = 0, .comper = 1, .kind = obs::EventKind::kSpawnBatch,
+              .a = 32});
+  rec.Record({.worker = 0, .comper = 1, .kind = obs::EventKind::kSplit,
+              .a = 4, .b = 2});
+  rec.Record({.worker = 1, .kind = obs::EventKind::kLedger, .a = 10, .b = 10});
   EXPECT_EQ(rec.total(), 3);
-  const std::vector<obs::FlightEvent> events = rec.Snapshot();
+  EXPECT_EQ(rec.span_events_total(), 1);  // the split
+  const std::vector<obs::Event> events = rec.Snapshot();
   ASSERT_EQ(events.size(), 3u);
 
   const std::string json = rec.DumpJson();
@@ -59,7 +93,7 @@ TEST(FlightRecorder, RecordsAndSerializes) {
 TEST(FlightRecorder, ZeroCapacityDisables) {
   obs::FlightRecorder rec(0);
   EXPECT_FALSE(rec.enabled());
-  rec.Record(obs::FlightKind::kTerminate, 0, -1);
+  rec.Record({.worker = 0, .kind = obs::EventKind::kTerminate});
   EXPECT_EQ(rec.total(), 0);
   EXPECT_TRUE(rec.Snapshot().empty());
 }
@@ -67,10 +101,10 @@ TEST(FlightRecorder, ZeroCapacityDisables) {
 TEST(FlightRecorder, BoundedRetentionKeepsNewest) {
   obs::FlightRecorder rec(16);
   for (int i = 0; i < 200; ++i) {
-    rec.Record(obs::FlightKind::kSpawnBatch, 0, -1, /*a=*/i);
+    rec.Record({.worker = 0, .kind = obs::EventKind::kSpawnBatch, .a = i});
   }
   EXPECT_EQ(rec.total(), 200);
-  const std::vector<obs::FlightEvent> events = rec.Snapshot();
+  const std::vector<obs::Event> events = rec.Snapshot();
   ASSERT_LE(events.size(), 16u);
   ASSERT_FALSE(events.empty());
   // The retained window ends at the newest event.
@@ -78,19 +112,12 @@ TEST(FlightRecorder, BoundedRetentionKeepsNewest) {
 }
 
 TEST(FlightRecorder, WriteCrashDumpWritesParseableFile) {
-  const std::string dir = testing::TempDir() + "/gt_flight_unit";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  obs::FlightRecorder::SetDumpDir(dir);
-  obs::FlightRecorder rec(32);
-  rec.Record(obs::FlightKind::kDrain, 0, -1, /*a=*/2);
+  const std::string dir = FreshDir("gt_flight_unit");
+  obs::FlightRecorder rec(32, dir);
+  rec.Record({.worker = 0, .kind = obs::EventKind::kDrain, .a = 2});
   ASSERT_TRUE(obs::FlightRecorder::WriteCrashDump("unit-test"));
-  obs::FlightRecorder::SetDumpDir("");
 
-  std::vector<std::string> dumps;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    dumps.push_back(entry.path().string());
-  }
+  const std::vector<std::string> dumps = DumpsIn(dir);
   ASSERT_EQ(dumps.size(), 1u);
   obs::JsonValue root;
   ASSERT_TRUE(obs::JsonParse(ReadFile(dumps[0]), &root).ok());
@@ -105,27 +132,23 @@ TEST(FlightRecorder, WriteCrashDumpWritesParseableFile) {
 // file the child wrote.
 TEST(FlightRecorderDeathTest, FatalCheckDumpsRecorder) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const std::string dir = testing::TempDir() + "/gt_flight_fatal";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const std::string dir = FreshDir("gt_flight_fatal");
 
   EXPECT_DEATH(
       {
-        obs::FlightRecorder::SetDumpDir(dir);
         obs::FlightRecorder::InstallCrashHandlers();
-        obs::FlightRecorder rec(64);
-        rec.Record(obs::FlightKind::kSpawnBatch, 0, 0, /*a=*/8);
-        rec.Record(obs::FlightKind::kLedger, 0, -1, /*a=*/5, /*b=*/4);
+        obs::FlightRecorder rec(64, dir);
+        rec.Record({.worker = 0, .comper = 0,
+                    .kind = obs::EventKind::kSpawnBatch, .a = 8});
+        rec.Record({.worker = 0, .kind = obs::EventKind::kLedger, .a = 5,
+                    .b = 4});
         const int64_t expected_live = 5;
         const int64_t live = 4;
         GT_CHECK_EQ(expected_live, live) << "task-conservation violation";
       },
       "task-conservation violation");
 
-  std::vector<std::string> dumps;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    dumps.push_back(entry.path().string());
-  }
+  const std::vector<std::string> dumps = DumpsIn(dir);
   ASSERT_EQ(dumps.size(), 1u) << "fatal exit did not write a flight dump";
   obs::JsonValue root;
   ASSERT_TRUE(obs::JsonParse(ReadFile(dumps[0]), &root).ok());
@@ -141,25 +164,122 @@ TEST(FlightRecorderDeathTest, FatalCheckDumpsRecorder) {
   EXPECT_EQ(events->array[1].Find("kind")->string, "ledger");
 }
 
-// A healthy end-to-end run populates the recorder with real transitions
-// (spawn batches at minimum, plus the drain phases every worker logs on the
-// way out) — verified indirectly: a dump taken right after the run's
-// recorder was torn down contains no recorders, while a dump during the
-// run's lifetime would. Here we just assert the job runs cleanly with the
-// recorder at its default capacity and that disabling it is honored.
-TEST(FlightRecorderE2E, JobRunsWithRecorderOnAndOff) {
-  static Graph g = Generator::ErdosRenyi(120, 500, 771);
-  for (const int64_t capacity : {int64_t{4096}, int64_t{0}}) {
-    Job<TriangleComper> job;
-    job.config.num_workers = 2;
-    job.config.compers_per_worker = 1;
-    job.config.flight_recorder_events = capacity;
-    job.graph = &g;
-    job.comper_factory = [] { return std::make_unique<TriangleComper>(); };
-    job.trimmer = TrimToGreater;
-    auto result = Cluster<TriangleComper>::Run(job);
-    EXPECT_GT(result.result, 0u) << "capacity=" << capacity;
+// Two jobs' rings with different dump dirs: a timeout dump of one writes
+// only that ring's events, and only into its own dir; a fatal dump writes
+// every live ring, each into its own job's dir.
+TEST(FlightRecorder, DumpsGoToEachJobsOwnDir) {
+  const std::string dir_a = FreshDir("gt_flight_job_a");
+  const std::string dir_b = FreshDir("gt_flight_job_b");
+  obs::FlightRecorder a(32, dir_a);
+  obs::FlightRecorder b(32, dir_b);
+  a.Record({.t_us = 10, .worker = 0, .kind = obs::EventKind::kSpawnBatch,
+            .a = 1});
+  b.Record({.t_us = 11, .worker = 7, .kind = obs::EventKind::kSpawnBatch,
+            .a = 2});
+  b.Record({.t_us = 12, .worker = 7, .kind = obs::EventKind::kLedger});
+
+  ASSERT_TRUE(a.WriteDump("timeout"));
+  EXPECT_TRUE(DumpsIn(dir_b).empty());
+  std::vector<std::string> dumps = DumpsIn(dir_a);
+  ASSERT_EQ(dumps.size(), 1u);
+  std::string reason;
+  std::vector<obs::JsonValue> events = SingleRingEvents(dumps[0], &reason);
+  EXPECT_EQ(reason, "timeout");
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].Find("worker")->number, 0.0);
+  EXPECT_EQ(events[0].Find("a")->number, 1.0);
+
+  ASSERT_TRUE(obs::FlightRecorder::WriteCrashDump("fatal"));
+  EXPECT_EQ(DumpsIn(dir_a).size(), 2u);
+  dumps = DumpsIn(dir_b);
+  ASSERT_EQ(dumps.size(), 1u);
+  events = SingleRingEvents(dumps[0], &reason);
+  EXPECT_EQ(reason, "fatal");
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].Find("worker")->number, 7.0);
+}
+
+// A job without a ring (capacity 0, span tracing off) must not take over
+// the application's signal handlers. The child of EXPECT_EXIT is a fresh
+// process, so SIGTERM starts at its default disposition there.
+TEST(FlightRecorderDeathTest, JobWithoutRingLeavesSignalHandlersAlone) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        static Graph g = Generator::ErdosRenyi(120, 500, 771);
+        Job<TriangleComper> job;
+        job.config.num_workers = 2;
+        job.config.compers_per_worker = 1;
+        job.config.flight_recorder_events = 0;
+        job.graph = &g;
+        job.comper_factory = [] {
+          return std::make_unique<TriangleComper>();
+        };
+        job.trimmer = TrimToGreater;
+        Cluster<TriangleComper>::Run(job);
+        struct sigaction current {};
+        ::sigaction(SIGTERM, nullptr, &current);
+        std::exit(current.sa_handler == SIG_DFL ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+// split_test's timeout-exit setup: a throttled wire and a 50 ms budget.
+JobStats RunOverBudget(int64_t ring_events, const std::string& dump_dir) {
+  static Graph g = Generator::PowerLaw(2000, 16.0, 2.4, 971);
+  Job<MaximalCliqueComper> job;
+  job.config.num_workers = 4;
+  job.config.compers_per_worker = 1;
+  job.config.enable_stealing = true;
+  job.config.time_budget_s = 0.05;
+  job.config.task_time_budget_us = 200;
+  job.config.task_split_max_candidates = 16;
+  job.config.task_split_steal_weight = 8;
+  job.config.comm.net.latency_us = 300;
+  job.config.comm.net.bandwidth_mbps = 2.0;
+  job.config.cache_capacity = 256;
+  job.config.cache_num_buckets = 32;
+  job.config.flight_recorder_events = ring_events;
+  job.config.flight_dump_dir = dump_dir;
+  job.graph = &g;
+  job.comper_factory = [] { return std::make_unique<MaximalCliqueComper>(); };
+  return Cluster<MaximalCliqueComper>::Run(job).stats;
+}
+
+// A budget exit dumps the job's own ring: the spawn batches that led up to
+// it, with the timeout the newest event on the hub clock every worker
+// stamps with. Without a ring nothing is written.
+TEST(FlightRecorderE2E, TimeoutDumpEndsWithTheTimeout) {
+  const std::string dir = FreshDir("gt_flight_timeout");
+  ASSERT_TRUE(RunOverBudget(4096, dir).timed_out);
+  const std::vector<std::string> dumps = DumpsIn(dir);
+  ASSERT_EQ(dumps.size(), 1u);
+  std::string reason;
+  const std::vector<obs::JsonValue> events =
+      SingleRingEvents(dumps[0], &reason);
+  EXPECT_EQ(reason, "timeout");
+  int spawn_batches = 0;
+  int timeouts = 0;
+  double timeout_t_us = -1;
+  double latest_other_t_us = -1;
+  for (const obs::JsonValue& e : events) {
+    const std::string& kind = e.Find("kind")->string;
+    const double t_us = e.Find("t_us")->number;
+    if (kind == "spawn_batch") ++spawn_batches;
+    if (kind == "timeout") {
+      ++timeouts;
+      timeout_t_us = t_us;
+    } else {
+      latest_other_t_us = std::max(latest_other_t_us, t_us);
+    }
   }
+  EXPECT_GT(spawn_batches, 0);
+  ASSERT_EQ(timeouts, 1);
+  EXPECT_GE(timeout_t_us, latest_other_t_us);
+
+  const std::string off_dir = FreshDir("gt_flight_timeout_off");
+  ASSERT_TRUE(RunOverBudget(0, off_dir).timed_out);
+  EXPECT_TRUE(DumpsIn(off_dir).empty());
 }
 
 }  // namespace

@@ -78,10 +78,10 @@ TEST(PhaseProfile, EmptyWithoutPhaseCounters) {
 }
 
 TEST(PhaseProfile, StragglerTableRanksByComputeWithLineage) {
-  std::vector<obs::SpanEvent> spans;
+  std::vector<obs::Event> spans;
   auto exec = [&](uint64_t task, int64_t dur) {
-    obs::SpanEvent e;
-    e.phase = obs::SpanPhase::kExecute;
+    obs::Event e;
+    e.kind = obs::EventKind::kExecute;
     e.task_id = task;
     e.dur_us = dur;
     e.worker = 0;
@@ -91,8 +91,8 @@ TEST(PhaseProfile, StragglerTableRanksByComputeWithLineage) {
   exec(10, 100);
   exec(11, 900);
   exec(11, 50);  // second iteration of the same task accumulates
-  obs::SpanEvent spawn;
-  spawn.phase = obs::SpanPhase::kSpawn;
+  obs::Event spawn;
+  spawn.kind = obs::EventKind::kSpawn;
   spawn.task_id = 11;
   spawn.parent_task_id = 10;
   spans.push_back(spawn);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -168,6 +169,33 @@ TEST(JobReportE2E, ObservedRunProducesFullReportAndTrace) {
     }
   }
   EXPECT_GT(complete_slices, 0);  // execute slices with real durations
+}
+
+// The per-task span kinds trace a coherent lifecycle on a real TC run.
+TEST(JobReportE2E, SpansTraceCoherentTaskLifecycle) {
+  Graph g = Generator::PowerLaw(300, 9.0, 2.4, 901);
+  Job<TriangleComper> job;
+  job.config.num_workers = 2;
+  job.config.compers_per_worker = 2;
+  job.config.enable_span_tracing = true;
+  job.graph = &g;
+  job.comper_factory = [] { return std::make_unique<TriangleComper>(); };
+  job.trimmer = TrimToGreater;
+  auto result = Cluster<TriangleComper>::Run(job);
+
+  ASSERT_FALSE(result.stats.spans.empty());
+  std::map<obs::EventKind, int64_t> counts;
+  for (const obs::Event& e : result.stats.spans) ++counts[e.kind];
+  // Every TC task runs exactly one iteration and finishes.
+  EXPECT_GT(counts[obs::EventKind::kSpawn], 0);
+  EXPECT_GT(counts[obs::EventKind::kExecute], 0);
+  EXPECT_EQ(counts[obs::EventKind::kExecute], counts[obs::EventKind::kFinish]);
+  // Every task that went pending must have become ready.
+  EXPECT_EQ(counts[obs::EventKind::kPending], counts[obs::EventKind::kReady]);
+  // Timestamps are sorted by the collector.
+  for (size_t i = 1; i < result.stats.spans.size(); ++i) {
+    EXPECT_LE(result.stats.spans[i - 1].t_us, result.stats.spans[i].t_us);
+  }
 }
 
 TEST(JobReportE2E, ObservabilityOffByDefault) {
