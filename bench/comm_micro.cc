@@ -40,7 +40,6 @@
 #include "core/pull_coalescer.h"
 #include "core/response_cache.h"
 #include "core/vertex.h"
-#include "core/wire_codec.h"
 #include "net/comm_hub.h"
 #include "net/frame.h"
 #include "net/message.h"
@@ -83,11 +82,8 @@ void FillLocalTable(int hot, int degree, LocalTable<VertexT>* table) {
 /// One requester + one responder thread ping-ponging `rounds` pull batches.
 /// `req_hub` / `resp_hub` are each side's CommHub — the same object for the
 /// in-process backend, two socket-connected ones for the tcp-loopback row.
-/// `enc` selects the pooled path's response record format (the
-/// comm.wire_encoding ablation); the legacy path is always raw.
 PullResult RunPullRoundTrips(CommHub* req_hub, CommHub* resp_hub, bool pooled,
-                             int rounds, int batch, int hot, int degree,
-                             WireEncoding enc = WireEncoding::kRaw) {
+                             int rounds, int batch, int hot, int degree) {
   CommHub& hub = *req_hub;
   CommHub& rhub = *resp_hub;
   LocalTable<VertexT> table(kResponder);
@@ -95,7 +91,7 @@ PullResult RunPullRoundTrips(CommHub* req_hub, CommHub* resp_hub, bool pooled,
   PullResult result;
 
   std::thread responder([&] {
-    ResponseCache<VertexT> cache(pooled ? (4 << 20) : 0, enc);
+    ResponseCache<VertexT> cache(pooled ? (4 << 20) : 0);
     Serializer ser;
     std::vector<VertexId> ids;
     for (int r = 0; r < rounds; ++r) {
@@ -168,7 +164,7 @@ PullResult RunPullRoundTrips(CommHub* req_hub, CommHub* resp_hub, bool pooled,
         const char* data = cur.ContiguousBytes(&len);
         Deserializer des(data, len);
         VertexT v;
-        GT_CHECK_OK(WireCodec<VertexT>::Decode(enc, des, &v));
+        GT_CHECK_OK(Codec<VertexT>::Decode(des, &v));
         GT_CHECK_OK(cur.Skip(des.position()));
         result.checksum += v.id + v.value.size();
       }
@@ -194,8 +190,7 @@ PullResult RunPullRoundTrips(CommHub* req_hub, CommHub* resp_hub, bool pooled,
 /// rank 0 hosts the requester endpoint, rank 1 the responder. Ports are
 /// reserved by binding ephemeral listeners first (both held open until both
 /// ports are known), and the two Start() calls handshake concurrently.
-std::pair<std::unique_ptr<CommHub>, std::unique_ptr<CommHub>> MakeTcpPair(
-    bool scatter_gather = true) {
+std::pair<std::unique_ptr<CommHub>, std::unique_ptr<CommHub>> MakeTcpPair() {
   int ports[2];
   int fds[2];
   for (int i = 0; i < 2; ++i) {
@@ -222,7 +217,6 @@ std::pair<std::unique_ptr<CommHub>, std::unique_ptr<CommHub>> MakeTcpPair(
     opts.rank = r;
     opts.num_workers = 2;
     opts.hosts = hosts;
-    opts.scatter_gather = scatter_gather;
     hubs[r] = std::make_unique<CommHub>(
         3, std::make_unique<net::TcpTransport>(opts));
   }
@@ -351,14 +345,12 @@ int Main(int argc, char** argv) {
   std::printf("pooled/legacy speedup: %.2fx\n\n", speedup);
   json.AddRow("pull_roundtrip/speedup")->numbers["speedup"] = speedup;
 
-  // tcp-loopback rows: the same pooled ping-pong, but across two CommHubs
-  // joined by TcpTransport — real frames (header + CRC), socket syscalls,
-  // and the IO thread in the path. Puts a number on what the in-process
-  // backend's shared-memory shortcut is worth. The `tcp_nosg` ablation
-  // disables scatter-gather: payloads are flattened into one copy and sent
-  // one frame per syscall, which is what the pre-sendmsg data plane did.
-  for (const bool sg : {true, false}) {
-    auto [req_hub, resp_hub] = MakeTcpPair(sg);
+  // tcp-loopback row: the same pooled ping-pong, but across two CommHubs
+  // joined by TcpTransport — real frames (header + CRC-32C), socket
+  // syscalls, and the IO thread in the path. Puts a number on what the
+  // in-process backend's shared-memory shortcut is worth.
+  {
+    auto [req_hub, resp_hub] = MakeTcpPair();
     PullResult r = RunPullRoundTrips(req_hub.get(), resp_hub.get(),
                                      /*pooled=*/true, rounds, batch, hot,
                                      degree);
@@ -371,12 +363,11 @@ int Main(int argc, char** argv) {
     GT_CHECK_EQ(r.checksum, checksums[1]);  // the wire must not alter bytes
     const double rps = rounds / r.elapsed_s;
     const double mbps = r.response_bytes / 1048576.0 / r.elapsed_s;
-    const char* label = sg ? "tcp" : "tcp_nosg";
     std::printf("%-8s %8.3f s %12.0f %12.1f %12" PRId64 "   (checksum %" PRIu64
                 ")\n",
-                label, r.elapsed_s, rps, mbps, r.cache_hits, r.checksum);
-    if (sg) std::printf("tcp/inproc pooled ratio: %.2fx\n", pooled_rps / rps);
-    auto* row = json.AddRow(std::string("pull_roundtrip/") + label);
+                "tcp", r.elapsed_s, rps, mbps, r.cache_hits, r.checksum);
+    std::printf("tcp/inproc pooled ratio: %.2fx\n", pooled_rps / rps);
+    auto* row = json.AddRow("pull_roundtrip/tcp");
     row->numbers["elapsed_s"] = r.elapsed_s;
     row->numbers["roundtrips_per_s"] = rps;
     row->numbers["response_mb_per_s"] = mbps;
@@ -394,14 +385,14 @@ int Main(int argc, char** argv) {
     }
     row->numbers["sendmsg_frames_per_call"] = calls > 0 ? frames / calls : 0.0;
     row->numbers["sendmsg_bytes_per_call"] = calls > 0 ? bytes / calls : 0.0;
-    std::printf("%s sendmsg coalescing: %.2f frames/call, %.0f bytes/call\n%s",
-                label, calls > 0 ? frames / calls : 0.0,
-                calls > 0 ? bytes / calls : 0.0, sg ? "" : "\n");
+    std::printf("tcp sendmsg coalescing: %.2f frames/call, %.0f bytes/call\n",
+                calls > 0 ? frames / calls : 0.0,
+                calls > 0 ? bytes / calls : 0.0);
   }
 
-  // CRC throughput rows: the four integrity-check implementations over the
-  // same 1 MiB buffer. `bytewise` is the reference table walk the transport
-  // used before slicing-by-8; `crc32c_hw` only appears on SSE4.2 hosts.
+  // CRC throughput rows: the CRC-32C implementations over the same 1 MiB
+  // buffer. `bytewise` is the reference table walk the tests use as the
+  // differential oracle; `crc32c_hw` only appears on SSE4.2 hosts.
   {
     std::vector<char> buf(1 << 20);
     uint64_t seed = 0x9E3779B97F4A7C15ULL;
@@ -416,7 +407,6 @@ int Main(int argc, char** argv) {
     };
     const CrcVariant variants[] = {
         {"crc/bytewise", &net::Crc32Reference, true},
-        {"crc/sliced_ieee", &net::Crc32, true},
         {"crc/crc32c_sw", &net::Crc32CSoftware, true},
         {"crc/crc32c_hw", &net::Crc32C, net::HasHardwareCrc32C()},
     };
@@ -442,47 +432,7 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // Wire-encoding ablation: the pooled ping-pong with the response records
-  // serialized raw (fixed-width, bit-identical to Codec) vs delta+varint
-  // adjacency groups. `bytes_ratio` mirrors dedup/summary: varint response
-  // bytes over raw response bytes — the wire-byte reduction the
-  // comm.wire_encoding=varint knob buys on this degree-2048 table.
-  {
-    std::printf("\nwire encoding ablation (pooled, %d rounds):\n", rounds);
-    double enc_bytes[2] = {0, 0};
-    for (const WireEncoding enc : {WireEncoding::kRaw, WireEncoding::kVarint}) {
-      auto run_enc = [&] {
-        CommHub hub(2);
-        return RunPullRoundTrips(&hub, &hub, /*pooled=*/true, rounds, batch,
-                                 hot, degree, enc);
-      };
-      PullResult r = run_enc();
-      for (int rep = 1; rep < 3; ++rep) {
-        PullResult again = run_enc();
-        if (again.elapsed_s < r.elapsed_s) r = again;
-      }
-      // The checksum sums ids and adjacency sizes, both of which survive
-      // re-encoding — so it must match the raw pooled run exactly.
-      GT_CHECK_EQ(r.checksum, checksums[1]);
-      const bool varint = enc == WireEncoding::kVarint;
-      enc_bytes[varint ? 1 : 0] = static_cast<double>(r.response_bytes);
-      const double rps = rounds / r.elapsed_s;
-      const double mbps = r.response_bytes / 1048576.0 / r.elapsed_s;
-      const char* label = varint ? "encoding/varint" : "encoding/raw";
-      std::printf("  %-16s %8.3f s %12.0f rt/s  %10" PRId64 " resp bytes\n",
-                  label, r.elapsed_s, rps, r.response_bytes);
-      auto* row = json.AddRow(label);
-      row->numbers["elapsed_s"] = r.elapsed_s;
-      row->numbers["roundtrips_per_s"] = rps;
-      row->numbers["response_mb_per_s"] = mbps;
-      row->numbers["response_bytes"] = static_cast<double>(r.response_bytes);
-    }
-    const double enc_ratio = enc_bytes[1] / enc_bytes[0];
-    std::printf("  varint/raw wire bytes: %.4f\n\n", enc_ratio);
-    json.AddRow("encoding/summary")->numbers["bytes_ratio"] = enc_ratio;
-  }
-
-  std::printf("request dedup: %d demands, flush window %" PRId64 " ids\n",
+  std::printf("\nrequest dedup: %d demands, flush window %" PRId64 " ids\n",
               demands, max_ids);
   const DedupResult naive = RunDedupNaive(demands, max_ids);
   const DedupResult coal = RunDedupCoalesced(demands, max_ids);

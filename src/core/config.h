@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/protocol.h"
-#include "core/wire_codec.h"
 #include "net/message.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -52,13 +51,6 @@ struct CommConfig {
   /// Simulated interconnect for transport=inproc (0/0 = instantaneous);
   /// rejected under tcp, where the wire is real.
   NetConfig net;
-
-  /// Wire representation of kVertexResponse records (core/wire_codec.h):
-  /// kRaw keeps the fixed-width Codec format; kVarint delta+varint encodes
-  /// adjacency lists (small deltas after hub-last renumbering), shrinking
-  /// pull-response bytes on both backends. A job-level property — both ends
-  /// share the JobConfig, so no per-connection negotiation is needed.
-  WireEncoding wire_encoding = WireEncoding::kRaw;
 
   // ---- tcp backend tuning (net/transport_tcp.h) ----
   /// Per-peer buffered-send cap; Send() blocks (backpressure) above it.
@@ -376,10 +368,6 @@ struct JobConfig {
       if (comm.tcp_io_threads < 1 || comm.tcp_io_threads > 64) {
         return Status::InvalidArgument("tcp_io_threads out of [1, 64]");
       }
-    }
-    if (comm.wire_encoding != WireEncoding::kRaw &&
-        comm.wire_encoding != WireEncoding::kVarint) {
-      return Status::InvalidArgument("unknown comm.wire_encoding");
     }
     if (progress_interval_us <= 0) {
       return Status::InvalidArgument("progress_interval_us must be positive");

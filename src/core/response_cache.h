@@ -7,7 +7,6 @@
 
 #include "core/codec.h"
 #include "core/vertex.h"
-#include "core/wire_codec.h"
 #include "graph/types.h"
 #include "net/payload.h"
 #include "util/serializer.h"
@@ -42,12 +41,7 @@ namespace gthinker {
 template <typename VertexT>
 class ResponseCache {
  public:
-  /// `encoding` selects the record format (comm.wire_encoding): memoized
-  /// records are stored already in wire form, so the kVarint compaction also
-  /// shrinks the cache's resident bytes.
-  explicit ResponseCache(int64_t byte_limit,
-                         WireEncoding encoding = WireEncoding::kRaw)
-      : byte_limit_(byte_limit), encoding_(encoding) {}
+  explicit ResponseCache(int64_t byte_limit) : byte_limit_(byte_limit) {}
 
   /// The serialized response record for `v`, whose T_local slot is `slot`
   /// (the memoized slab when cached). The reference stays valid until the
@@ -83,12 +77,11 @@ class ResponseCache {
  private:
   Payload Encode(const VertexT& v) {
     ser_.Clear();
-    WireCodec<VertexT>::Encode(encoding_, ser_, v);
+    Codec<VertexT>::Encode(ser_, v);
     return TakePayload(ser_);
   }
 
   const int64_t byte_limit_;
-  const WireEncoding encoding_;
   std::vector<Payload> memo_;   // by T_local slot; empty = not memoized
   std::vector<uint32_t> live_;  // memoized slots, for the overflow reset
   Payload scratch_;             // the unmemoized record (byte_limit 0)

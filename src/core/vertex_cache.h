@@ -11,7 +11,6 @@
 
 #include "core/codec.h"
 #include "core/vertex.h"
-#include "core/wire_codec.h"
 #include "graph/types.h"
 #include "util/flat_index.h"
 #include "util/hash.h"
@@ -254,20 +253,19 @@ class VertexCache {
     return waiting;
   }
 
-  /// OP2, zero-copy variant: decodes one wire record (WireCodec<VertexT> in
-  /// the job's comm.wire_encoding format) straight from a wire-fragment span
-  /// (no intermediate flatten). *consumed reports how many bytes the record
-  /// occupied so the caller can advance its cursor; *waiting receives the
-  /// task IDs that were blocked on the vertex (its previous contents are
-  /// dropped and its buffer recycled into the entry for the next request).
+  /// OP2, zero-copy variant: decodes one Codec<VertexT> wire record straight
+  /// from a wire-fragment span (no intermediate flatten). *consumed reports
+  /// how many bytes the record occupied so the caller can advance its
+  /// cursor; *waiting receives the task IDs that were blocked on the vertex
+  /// (its previous contents are dropped and its buffer recycled into the
+  /// entry for the next request).
   /// Corrupted/truncated records return Status::Corruption without
   /// touching the tables.
-  Status InsertResponseSpan(WireEncoding encoding, const char* data,
-                            size_t size, size_t* consumed,
+  Status InsertResponseSpan(const char* data, size_t size, size_t* consumed,
                             std::vector<uint64_t>* waiting) {
     VertexT vertex;
     Deserializer des(data, size);
-    GT_RETURN_IF_ERROR(WireCodec<VertexT>::Decode(encoding, des, &vertex));
+    GT_RETURN_IF_ERROR(Codec<VertexT>::Decode(des, &vertex));
     *consumed = des.position();
     Install(std::move(vertex), waiting);
     return Status::Ok();

@@ -70,8 +70,7 @@ class Worker {
                config.layout.cache_segment_shift),
         coalescer_(config.num_workers, config.comm.request_batch_size,
                    config.comm.request_flush_bytes),
-        resp_cache_(config.comm.response_cache_bytes,
-                    config.comm.wire_encoding),
+        resp_cache_(config.comm.response_cache_bytes),
         metrics_("worker" + std::to_string(worker_id)) {
     master_id_ = config_.num_workers;  // master mailbox index
     task_wait_us_ = metrics_.GetHistogram("task.wait_us");
@@ -868,7 +867,9 @@ class Worker {
   }
 
   /// Globally-unique span identity: worker in the high 16 bits, a local
-  /// sequence below (mirrors MakeTaskId's packing).
+  /// sequence below (mirrors MakeTaskId's packing). The sequence starts at
+  /// 1, so no task gets id 0, which means "no task / no parent" everywhere
+  /// (obs/span_trace.h, obs/phase_profile.h).
   uint64_t NextSpanId() {
     return (static_cast<uint64_t>(id_) << 48) |
            span_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -1126,9 +1127,8 @@ class Worker {
           const char* data = cur.ContiguousBytes(&len);
           size_t consumed = 0;
           waiting.clear();
-          GT_CHECK_OK(cache_.InsertResponseSpan(config_.comm.wire_encoding,
-                                                data, len, &consumed,
-                                                &waiting));
+          GT_CHECK_OK(
+              cache_.InsertResponseSpan(data, len, &consumed, &waiting));
           GT_CHECK_OK(cur.Skip(consumed));
           for (uint64_t tid : waiting) {
             const int comper = ComperOfTaskId(tid);
@@ -1678,7 +1678,7 @@ class Worker {
   // are registered once in the constructor; recording through them is
   // lock-free.
   obs::MetricsRegistry metrics_;
-  std::atomic<uint64_t> span_seq_{0};
+  std::atomic<uint64_t> span_seq_{1};
   obs::Histogram* task_wait_us_ = nullptr;
   obs::Histogram* steal_rtt_us_ = nullptr;
   obs::Histogram* spill_write_us_ = nullptr;

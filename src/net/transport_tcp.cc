@@ -57,19 +57,6 @@ bool SplitHostPort(const std::string& entry, std::string* host, int* port) {
   return true;
 }
 
-/// Copies a fragmented payload into one contiguous pooled slab (the legacy
-/// per-frame copy, kept for the scatter_gather=false ablation path).
-Payload FlattenPayload(const Payload& p) {
-  if (p.empty()) return Payload();
-  SlabRef slab(BufferPool::Global().Acquire(p.size()));
-  char* dst = slab.data();
-  for (const Payload::Fragment& f : p.fragments()) {
-    std::memcpy(dst, f.data, f.len);
-    dst += f.len;
-  }
-  return Payload::FromSlab(std::move(slab), p.size());
-}
-
 constexpr int kIoPollMs = 50;  // fallback poll cadence (stop flag, backoff)
 constexpr int64_t kStopFlushMs = 5000;  // bounded best-effort flush in Stop()
 /// iovec budget per sendmsg(): bounds per-call setup cost while still
@@ -280,8 +267,8 @@ void TcpTransport::WakeAllLocked() {
   for (int t = 0; t < io_thread_count_; ++t) WakeThreadLocked(t);
 }
 
-TcpTransport::OutFrame TcpTransport::EncodeDataFrame(MessageBatch batch,
-                                                     bool crc32c) const {
+TcpTransport::OutFrame TcpTransport::EncodeDataFrame(
+    MessageBatch batch) const {
   FrameHeader h;
   h.kind = FrameKind::kData;
   h.msg_type = static_cast<uint8_t>(batch.type);
@@ -290,19 +277,15 @@ TcpTransport::OutFrame TcpTransport::EncodeDataFrame(MessageBatch batch,
   h.payload_len = static_cast<uint32_t>(batch.payload.size());
   uint32_t crc = 0;
   for (const Payload::Fragment& f : batch.payload.fragments()) {
-    crc = crc32c ? Crc32C(f.data, f.len, crc) : Crc32(f.data, f.len, crc);
+    crc = Crc32C(f.data, f.len, crc);
   }
   h.crc32 = crc;
   OutFrame out;
   out.kind = FrameKind::kData;
   EncodeFrameHeader(h, out.header.data());
-  if (options_.scatter_gather) {
-    // Zero-copy: the sendq keeps the fragment chain (and its slabs) alive
-    // until the frame is written; sendmsg gathers header + fragments.
-    out.payload = std::move(batch.payload);
-  } else {
-    out.payload = FlattenPayload(batch.payload);
-  }
+  // Zero-copy: the sendq keeps the fragment chain (and its slabs) alive
+  // until the frame is written; sendmsg gathers header + fragments.
+  out.payload = std::move(batch.payload);
   return out;
 }
 
@@ -354,8 +337,7 @@ void TcpTransport::Send(MessageBatch batch) {
   }
   GT_CHECK(running_.load(std::memory_order_relaxed));
   Peer& peer = peers_[dst_rank];
-  OutFrame frame = EncodeDataFrame(
-      std::move(batch), peer.crc32c.load(std::memory_order_relaxed));
+  OutFrame frame = EncodeDataFrame(std::move(batch));
   bool was_empty = false;
   {
     std::unique_lock<std::mutex> lock(peer.send_mu);
@@ -500,8 +482,7 @@ Status TcpTransport::ConnectPeerLocked(int q) {
     {
       std::lock_guard<std::mutex> slock(peer.send_mu);
       peer.front_off = 0;
-      EnqueueFrameLocked(peer,
-                         EncodeControlFrame(FrameKind::kHello, kFeatureCrc32C),
+      EnqueueFrameLocked(peer, EncodeControlFrame(FrameKind::kHello, 0),
                          /*front=*/true);
     }
     MarkPollsetDirtyLocked();
@@ -546,8 +527,7 @@ void TcpTransport::InstallAdoptedLocked(int q) {
   {
     std::lock_guard<std::mutex> slock(peer.send_mu);
     peer.front_off = 0;
-    EnqueueFrameLocked(peer,
-                       EncodeControlFrame(FrameKind::kHello, kFeatureCrc32C),
+    EnqueueFrameLocked(peer, EncodeControlFrame(FrameKind::kHello, 0),
                        /*front=*/true);
   }
   MarkPollsetDirtyLocked();
@@ -608,7 +588,6 @@ bool TcpTransport::WritePeer(int q) {
         skip = 0;
       }
       if (niov >= kMaxIovPerSendmsg) break;
-      if (!options_.scatter_gather) break;  // one frame per syscall
     }
     msghdr msg{};
     msg.msg_iov = iov;
@@ -651,21 +630,6 @@ bool TcpTransport::WritePeer(int q) {
   return true;
 }
 
-bool TcpTransport::VerifyFrameCrc(const Peer& peer, const FrameHeader& h,
-                                  const char* payload) {
-  if (peer.crc32c.load(std::memory_order_relaxed)) {
-    if (Crc32C(payload, h.payload_len) == h.crc32) return true;
-    // Frames the peer encoded before it saw our HELLO still carry CRC-32
-    // (IEEE) — the negotiation window, not corruption.
-    if (Crc32(payload, h.payload_len) == h.crc32) {
-      crc_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  }
-  return Crc32(payload, h.payload_len) == h.crc32;
-}
-
 bool TcpTransport::HandleFrame(int q, const FrameHeader& h,
                                const char* payload) {
   switch (h.kind) {
@@ -676,8 +640,6 @@ bool TcpTransport::HandleFrame(int q, const FrameHeader& h,
       std::lock_guard<std::mutex> lock(mu_);
       Peer& peer = peers_[q];
       peer.hello_ok = true;
-      peer.crc32c.store((h.msg_type & kFeatureCrc32C) != 0,
-                        std::memory_order_relaxed);
       cv_start_.notify_all();
       return true;
     }
@@ -749,7 +711,7 @@ bool TcpTransport::ParseRx(int q) {
     }
     if (peer.rx_len - peer.rx_off - kFrameHeaderSize < h.payload_len) break;
     const char* payload = base + kFrameHeaderSize;
-    if (h.payload_len > 0 && !VerifyFrameCrc(peer, h, payload)) {
+    if (h.payload_len > 0 && Crc32C(payload, h.payload_len) != h.crc32) {
       frames_corrupt_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
@@ -957,8 +919,6 @@ void TcpTransport::IoLoop(int t) {
               peer.adopt_fd = c.fd;
               peer.adopt_rx = c.rxbuf.substr(kFrameHeaderSize);
               peer.hello_ok = true;
-              peer.crc32c.store((h.msg_type & kFeatureCrc32C) != 0,
-                                std::memory_order_relaxed);
               cv_start_.notify_all();
               WakeThreadLocked(ThreadOf(h.src));
               c.fd = -1;  // ownership transferred
@@ -991,7 +951,7 @@ void TcpTransport::IoLoop(int t) {
           continue;
         }
         peer.connecting = false;
-        EnqueueControl(q, FrameKind::kHello, kFeatureCrc32C, /*front=*/true);
+        EnqueueControl(q, FrameKind::kHello, 0, /*front=*/true);
       }
       if (rev & (POLLERR | POLLHUP | POLLNVAL)) {
         // Read out anything still buffered before declaring the link dead.
@@ -1043,8 +1003,6 @@ void TcpTransport::AppendMetrics(obs::MetricsSnapshot* snap) const {
                               hello_rejected_.load(relaxed));
   snap->counters.emplace_back("transport.frames_dropped",
                               frames_dropped_.load(relaxed));
-  snap->counters.emplace_back("transport.crc_fallbacks",
-                              crc_fallbacks_.load(relaxed));
   snap->counters.emplace_back("transport.batches_abandoned",
                               batches_abandoned_.load(relaxed));
   snap->counters.emplace_back("transport.poll_rebuilds",

@@ -40,11 +40,6 @@ struct TcpTransportOptions {
   /// q % io_threads (thread 0 additionally owns the listen socket and
   /// handshaking accepted connections). 1 = the classic single poll loop.
   int io_threads = 1;
-  /// Coalesce queued frames into one sendmsg() with scatter-gather iovecs,
-  /// keeping payload fragment chains alive in the sendq (zero-copy). Off =
-  /// flatten each frame into a contiguous buffer at enqueue and emit one
-  /// frame per syscall — the legacy data plane, kept as a bench ablation.
-  bool scatter_gather = true;
   /// SO_SNDBUF override for peer sockets (0 = OS default). Tests use a tiny
   /// value to force short writes that split frames across syscalls.
   int sndbuf_bytes = 0;
@@ -53,13 +48,13 @@ struct TcpTransportOptions {
 /// Socket backend: each process hosts one worker rank (rank 0 also hosts the
 /// master endpoint) and keeps one bidirectional TCP connection per peer rank
 /// (rank r connects to every q < r and accepts from every q > r; a HELLO
-/// frame negotiates the protocol version — and feature bits such as CRC-32C
-/// checksums — both ways). One or more IO threads drive poll(2); each peer
-/// socket belongs to exactly one thread. Writes gather the per-peer send
-/// queue of framed messages (header + live Payload fragment chain, no copy)
-/// into a single sendmsg() per syscall; reads land in pooled BufferPool
-/// slabs and complete DATA payloads are handed to the inboxes as zero-copy
-/// views into those slabs. Send() applies backpressure above
+/// frame checks the protocol version, v2, both ways). Every DATA frame
+/// carries a CRC-32C of its payload (net/frame.h). One or more IO threads
+/// drive poll(2); each peer socket belongs to exactly one thread. Writes
+/// gather the per-peer send queue of framed messages (header + live Payload
+/// fragment chain, no copy) into a single sendmsg() per syscall; reads land
+/// in pooled BufferPool slabs and complete DATA payloads are handed to the
+/// inboxes as zero-copy views into those slabs. Send() applies backpressure above
 /// send_buffer_max_bytes; transient connection errors reconnect with
 /// exponential backoff and resend from the last frame boundary.
 ///
@@ -122,10 +117,6 @@ class TcpTransport final : public Transport {
     bool hello_ok = false;    // mu_: valid HELLO received on the live conn
     int adopt_fd = -1;        // mu_: accepted fd awaiting owner installation
     std::string adopt_rx;     // mu_: bytes read past the adopted HELLO
-    /// Peer advertised kFeatureCrc32C in its HELLO: emit CRC-32C to it and
-    /// accept CRC-32C from it (with an IEEE fallback for frames it encoded
-    /// before it saw our HELLO).
-    std::atomic<bool> crc32c{false};
     SlabRef rx_slab;    // pooled receive buffer (DATA payloads are views)
     size_t rx_len = 0;  // filled prefix of rx_slab
     size_t rx_off = 0;  // parsed prefix of rx_slab
@@ -178,11 +169,9 @@ class TcpTransport final : public Transport {
   void EnsureRxSpace(Peer& peer);
   /// Parses complete frames out of the peer's rx slab; false = corrupt.
   bool ParseRx(int q);
-  bool VerifyFrameCrc(const Peer& peer, const FrameHeader& h,
-                      const char* payload);
   bool HandleFrame(int q, const FrameHeader& h, const char* payload);
   void DropPeer(int q, bool reconnect);
-  OutFrame EncodeDataFrame(MessageBatch batch, bool crc32c) const;
+  OutFrame EncodeDataFrame(MessageBatch batch) const;
   OutFrame EncodeControlFrame(FrameKind kind, uint8_t msg_type) const;
   void EnqueueFrameLocked(Peer& peer, OutFrame frame, bool front);
   void EnqueueControl(int q, FrameKind kind, uint8_t msg_type, bool front);
@@ -213,7 +202,6 @@ class TcpTransport final : public Transport {
   std::atomic<int64_t> frames_corrupt_{0};
   std::atomic<int64_t> hello_rejected_{0};
   std::atomic<int64_t> frames_dropped_{0};  // DATA for a non-local endpoint
-  std::atomic<int64_t> crc_fallbacks_{0};   // CRC32C link, IEEE frame
   std::atomic<int64_t> batches_abandoned_{0};  // DATA dropped by teardown
   std::atomic<int64_t> poll_rebuilds_{0};      // pollset reconstructions
   std::atomic<int64_t> sendmsg_calls_{0};

@@ -263,14 +263,13 @@ TEST(CacheStress, FlipReturnsWaitersInArrivalOrder) {
 
   // The span path into a reused (dirty) caller buffer.
   Serializer ser;
-  WireCodec<VertexT>::Encode(WireEncoding::kRaw, ser, MakeVertex(12));
+  Codec<VertexT>::Encode(ser, MakeVertex(12));
   const std::string rec = ser.Release();
   std::vector<uint64_t> waiting = {777, 778};
   size_t consumed = 0;
-  ASSERT_TRUE(cache
-                  .InsertResponseSpan(WireEncoding::kRaw, rec.data(),
-                                      rec.size(), &consumed, &waiting)
-                  .ok());
+  ASSERT_TRUE(
+      cache.InsertResponseSpan(rec.data(), rec.size(), &consumed, &waiting)
+          .ok());
   EXPECT_EQ(consumed, rec.size());
   EXPECT_EQ(waiting, std::vector<uint64_t>{9});
 

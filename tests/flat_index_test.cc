@@ -194,7 +194,7 @@ TEST(ResponseCache, SlotMemoMatchesMapReference) {
       const uint32_t slot = table.SlotOf(id);
       const Payload& rec = cache.Get(slot, table[slot]);
       Serializer ser;
-      WireCodec<VertexT>::Encode(WireEncoding::kRaw, ser, table[slot]);
+      Codec<VertexT>::Encode(ser, table[slot]);
       ASSERT_EQ(rec.ToString(), ser.Release()) << "limit " << limit;
       model.Get(id, static_cast<int64_t>(rec.size()));
     }

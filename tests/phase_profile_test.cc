@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -248,6 +249,56 @@ TEST(PhaseProfileE2E, SpillInsideComputeIsNotDoubleCounted) {
     spill_total += row.spill_us;
   }
   EXPECT_GT(spill_total, 0);
+}
+
+/// Spawns exactly one task (from vertex 0) that busy-waits in Compute(), so
+/// the job's only execute span has a measurable duration.
+class OneSlowTaskComper
+    : public Comper<Task<AdjList, std::vector<uint32_t>>, uint64_t> {
+ public:
+  void TaskSpawn(const VertexT& v) override {
+    if (v.id == 0) AddTask(std::make_unique<TaskT>());
+  }
+
+  bool Compute(TaskT*, const Frontier&) override {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(2);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    Aggregate(1);
+    return false;
+  }
+
+  static AggT AggZero() { return 0; }
+  static AggT AggMerge(AggT a, AggT b) { return a + b; }
+};
+
+// Regression: span ids are (worker << 48) | sequence, so a sequence starting
+// at 0 gives worker 0's first task span id 0, the "no task" value the
+// straggler table skips. A one-worker, one-comper, one-task job must list
+// that task, and no span may carry id 0.
+TEST(PhaseProfileE2E, FirstTaskOfWorkerZeroIsAStraggler) {
+  Graph g(4);
+  g.Finalize();
+  Job<OneSlowTaskComper> job;
+  job.config.num_workers = 1;
+  job.config.compers_per_worker = 1;
+  job.config.enable_span_tracing = true;
+  job.graph = &g;
+  job.comper_factory = [] { return std::make_unique<OneSlowTaskComper>(); };
+  auto result = Cluster<OneSlowTaskComper>::Run(job);
+  EXPECT_EQ(result.result, 1u);
+
+  ASSERT_FALSE(result.stats.spans.empty());
+  for (const obs::Event& e : result.stats.spans) {
+    EXPECT_NE(e.task_id, 0u) << obs::EventKindName(e.kind);
+  }
+  const obs::PhaseProfile& phases = result.stats.phases;
+  ASSERT_EQ(phases.stragglers.size(), 1u);
+  EXPECT_NE(phases.stragglers[0].task_id, 0u);
+  EXPECT_EQ(phases.stragglers[0].worker, 0);
+  EXPECT_EQ(phases.stragglers[0].iterations, 1);
+  EXPECT_GT(phases.stragglers[0].compute_us, 0);
 }
 
 TEST(PhaseProfileE2E, DisabledKnobYieldsEmptyProfile) {

@@ -125,12 +125,11 @@ class InProcBackend : public Backend {
 };
 
 /// Per-rank option overrides applied on top of the defaults (io threads,
-/// socket buffer sizing, backpressure cap, scatter-gather ablation).
+/// socket buffer sizing, backpressure cap).
 struct TcpTuning {
   int io_threads = 1;
   int sndbuf_bytes = 0;
   int64_t send_buffer_max_bytes = 4 << 20;
-  bool scatter_gather = true;
 };
 
 class TcpBackend : public Backend {
@@ -149,7 +148,6 @@ class TcpBackend : public Backend {
       opts.io_threads = tuning.io_threads;
       opts.sndbuf_bytes = tuning.sndbuf_bytes;
       opts.send_buffer_max_bytes = tuning.send_buffer_max_bytes;
-      opts.scatter_gather = tuning.scatter_gather;
       auto transport = std::make_unique<net::TcpTransport>(opts);
       hubs_.push_back(
           std::make_unique<CommHub>(num_workers + 1, std::move(transport)));
@@ -360,49 +358,65 @@ TEST(TransportTcp, GarbageConnectionRejected) {
 
 TEST(TransportTcp, WrongVersionHelloRejected) {
   TcpBackend backend(2);
-  const int fd = RawConnect(backend.port(0));
-  net::FrameHeader h;
-  h.kind = net::FrameKind::kHello;
-  h.version = net::kProtocolVersion + 1;
-  h.src = 1;
-  std::string frame(net::kFrameHeaderSize, '\0');
-  net::EncodeFrameHeader(h, frame.data());
-  RawSendAll(fd, frame);
-  EXPECT_TRUE(
-      WaitForCounter(backend.HubFor(0), "transport.hello_rejected", 1));
-  ::close(fd);
-  ExpectRoundTrip(backend, 1, 0);
+  // Version 1 is the protocol that could checksum frames with CRC-32 (IEEE);
+  // it is refused like any other version this build does not speak.
+  const uint16_t versions[] = {1, net::kProtocolVersion + 1};
+  int64_t rejected = 0;
+  for (const uint16_t version : versions) {
+    const int fd = RawConnect(backend.port(0));
+    net::FrameHeader h;
+    h.kind = net::FrameKind::kHello;
+    h.version = version;
+    h.src = 1;
+    std::string frame(net::kFrameHeaderSize, '\0');
+    net::EncodeFrameHeader(h, frame.data());
+    RawSendAll(fd, frame);
+    EXPECT_TRUE(WaitForCounter(backend.HubFor(0), "transport.hello_rejected",
+                               ++rejected))
+        << "v" << version;
+    ::close(fd);
+    ExpectRoundTrip(backend, 1, 0);
+  }
 }
 
 TEST(TransportTcp, CorruptDataFrameDropsConnection) {
   TcpBackend backend(2);
-  // A valid HELLO claiming to be rank 1 hijacks rank 1's slot on rank 0...
-  const int fd = RawConnect(backend.port(0));
-  net::FrameHeader hello;
-  hello.kind = net::FrameKind::kHello;
-  hello.src = 1;
-  std::string bytes(net::kFrameHeaderSize, '\0');
-  net::EncodeFrameHeader(hello, bytes.data());
-  // ...then a DATA frame whose CRC does not match its payload.
-  net::FrameHeader data;
-  data.kind = net::FrameKind::kData;
-  data.msg_type = static_cast<uint8_t>(MsgType::kVertexRequest);
-  data.src = 1;
-  data.dst = 0;
-  data.payload_len = 4;
-  data.crc32 = 0xDEADBEEF;  // wrong for "abcd"
-  std::string frame(net::kFrameHeaderSize, '\0');
-  net::EncodeFrameHeader(data, frame.data());
-  bytes += frame;
-  bytes += "abcd";
-  RawSendAll(fd, bytes);
-  // Rank 0 must count the corruption and drop the stream; rank 1 redials
-  // (its side went dead when the slot was hijacked) and the link recovers.
-  EXPECT_TRUE(WaitForCounter(backend.HubFor(0), "transport.frames_corrupt",
-                             1));
-  ::close(fd);
-  ExpectRoundTrip(backend, 1, 0);
-  ExpectRoundTrip(backend, 0, 1);
+  const std::string payload = "123456789";
+  // Header checksums that do not match the payload's CRC-32C: a plain wrong
+  // value, and the payload's CRC-32 (IEEE) check value 0xCBF43926, which
+  // only the CRC-32C frame format rejects.
+  const uint32_t bad_crcs[] = {0xDEADBEEFu, 0xCBF43926u};
+  int64_t corrupt = 0;
+  for (const uint32_t crc : bad_crcs) {
+    // A valid HELLO claiming to be rank 1 hijacks rank 1's slot on rank 0...
+    const int fd = RawConnect(backend.port(0));
+    net::FrameHeader hello;
+    hello.kind = net::FrameKind::kHello;
+    hello.src = 1;
+    std::string bytes(net::kFrameHeaderSize, '\0');
+    net::EncodeFrameHeader(hello, bytes.data());
+    // ...then a DATA frame whose CRC does not match its payload.
+    net::FrameHeader data;
+    data.kind = net::FrameKind::kData;
+    data.msg_type = static_cast<uint8_t>(MsgType::kVertexRequest);
+    data.src = 1;
+    data.dst = 0;
+    data.payload_len = static_cast<uint32_t>(payload.size());
+    data.crc32 = crc;
+    std::string frame(net::kFrameHeaderSize, '\0');
+    net::EncodeFrameHeader(data, frame.data());
+    bytes += frame;
+    bytes += payload;
+    RawSendAll(fd, bytes);
+    // Rank 0 must count the corruption and drop the stream; rank 1 redials
+    // (its side went dead when the slot was hijacked) and the link recovers.
+    EXPECT_TRUE(WaitForCounter(backend.HubFor(0), "transport.frames_corrupt",
+                               ++corrupt))
+        << std::hex << crc;
+    ::close(fd);
+    ExpectRoundTrip(backend, 1, 0);
+    ExpectRoundTrip(backend, 0, 1);
+  }
 }
 
 // ---------------------------------------------------------------------------
