@@ -19,13 +19,13 @@
 //       full-Γ-scan ablation (cache_use_z_table=false), on the same
 //       90%-locked population bench/ablation_ztable uses.
 //   [3] Spill round-trip: a spill stream written and read back through a
-//       bounded L_file window, synchronously (SpillFile::WriteBatch +
-//       ReadBatchAndDelete, the spill_async=false path) vs through
-//       AsyncSpillIo (writer thread + mem-hit cancellation + prefetch).
+//       bounded L_file window with SpillFile::WriteBatch +
+//       ReadBatchAndDelete, the comper's spill and refill path.
 //
 // `--rounds N` scales experiment [1]; `--json PATH` writes the machine-
 // readable rows (baseline checked in as BENCH_cache.json).
 
+#include <algorithm>
 #include <atomic>
 #include <cinttypes>
 #include <cstdint>
@@ -40,7 +40,6 @@
 
 #include "bench_util.h"
 #include "core/vertex_cache.h"
-#include "storage/async_spill.h"
 #include "storage/file_list.h"
 #include "storage/mini_dfs.h"
 #include "storage/spill_file.h"
@@ -277,42 +276,24 @@ EvictResult RunEvictDuel(bool use_z_table) {
 }
 
 // ---------------------------------------------------------------------------
-// [3] Spill round-trip: synchronous ablation vs AsyncSpillIo.
+// [3] Spill round-trip through L_file.
 // ---------------------------------------------------------------------------
-
-struct SpillResult {
-  double elapsed_s = 0.0;
-  int64_t batches = 0;
-  int64_t mem_hits = 0;
-  int64_t prefetch_hits = 0;
-};
 
 /// Streams `batches` spill batches through a `lag`-deep L_file window: write
 /// the newest, then (once the window is full) read back the oldest — the
-/// PushOrSpill → Refill cadence of a spill-bound comper. The sync path pays
-/// both disk transfers inline; the async path overlaps writes with the
-/// producer and serves reads from memory when the write hasn't landed yet.
-SpillResult RunSpillRoundTrip(bool async, int batches, int records_per_batch,
-                              int record_bytes, size_t lag) {
-  const std::string dir = MakeTempDir(async ? "cache_micro_async"
-                                            : "cache_micro_sync");
+/// spill → Refill cadence of a spill-bound comper, both disk transfers
+/// inline. Returns the elapsed seconds.
+double RunSpillRoundTrip(int batches, int records_per_batch, int record_bytes,
+                         size_t lag) {
+  const std::string dir = MakeTempDir("cache_micro_spill");
   FileList l_file;
-  AsyncSpillIo io(&l_file);
-  if (async) io.Start();
-
-  SpillResult result;
-  result.batches = batches;
   std::vector<std::string> records;
   std::vector<std::string> back;
   auto fetch_oldest = [&] {
     auto entry = l_file.TryPopFront();
     GT_CHECK(entry.has_value());
     back.clear();
-    if (async) {
-      GT_CHECK_OK(io.Fetch(entry->path, &back));
-    } else {
-      GT_CHECK_OK(SpillFile::ReadBatchAndDelete(entry->path, &back));
-    }
+    GT_CHECK_OK(SpillFile::ReadBatchAndDelete(entry->path, &back));
     GT_CHECK_EQ(static_cast<int64_t>(back.size()), entry->records);
   };
 
@@ -324,23 +305,14 @@ SpillResult RunSpillRoundTrip(bool async, int batches, int records_per_batch,
                                                       'a' + (b + r) % 26)));
     }
     std::string path;
-    if (async) {
-      path = io.Submit(dir, std::move(records));
-    } else {
-      GT_CHECK_OK(SpillFile::WriteBatch(dir, records, &path));
-    }
+    GT_CHECK_OK(SpillFile::WriteBatch(dir, records, &path));
     l_file.PushBack(path, records_per_batch);
     if (l_file.Size() > lag) fetch_oldest();
   }
   while (!l_file.Empty()) fetch_oldest();
-  result.elapsed_s = wall.ElapsedSeconds();
-  if (async) {
-    result.mem_hits = io.stats().mem_hits.load();
-    result.prefetch_hits = io.stats().prefetch_hits.load();
-    io.Stop();
-  }
+  const double elapsed_s = wall.ElapsedSeconds();
   RemoveTree(dir);
-  return result;
+  return elapsed_s;
 }
 
 // ---------------------------------------------------------------------------
@@ -437,32 +409,19 @@ int Main(int argc, char** argv) {
   std::printf("cache_micro [3]: spill round-trip, %d batches x %d x %d B "
               "(window %zu)\n",
               kSpillBatches, kRecordsPerBatch, kRecordBytes, kLag);
-  std::printf("%-18s %10s %14s %10s %10s\n", "mode", "time", "batches/s",
-              "mem hits", "pf hits");
-  double sync_s = 0.0, async_s = 0.0;
-  for (const bool async : {false, true}) {
-    SpillResult r = RunSpillRoundTrip(async, kSpillBatches, kRecordsPerBatch,
-                                      kRecordBytes, kLag);
-    for (int rep = 1; rep < kReps; ++rep) {
-      SpillResult again = RunSpillRoundTrip(async, kSpillBatches,
-                                            kRecordsPerBatch, kRecordBytes,
-                                            kLag);
-      if (again.elapsed_s < r.elapsed_s) r = again;
-    }
-    const double batches_per_s = r.batches / r.elapsed_s;
-    (async ? async_s : sync_s) = r.elapsed_s;
-    const char* label = async ? "async" : "sync";
-    std::printf("%-18s %8.3f s %14.0f %10" PRId64 " %10" PRId64 "\n", label,
-                r.elapsed_s, batches_per_s, r.mem_hits, r.prefetch_hits);
-    auto* row = json.AddRow(std::string("spill/") + label);
-    row->numbers["elapsed_s"] = r.elapsed_s;
-    row->numbers["batches_per_s"] = batches_per_s;
-    row->numbers["mem_hits"] = static_cast<double>(r.mem_hits);
-    row->numbers["prefetch_hits"] = static_cast<double>(r.prefetch_hits);
+  std::printf("%-18s %10s %14s\n", "mode", "time", "batches/s");
+  double spill_s = RunSpillRoundTrip(kSpillBatches, kRecordsPerBatch,
+                                     kRecordBytes, kLag);
+  for (int rep = 1; rep < kReps; ++rep) {
+    spill_s = std::min(spill_s, RunSpillRoundTrip(kSpillBatches,
+                                                  kRecordsPerBatch,
+                                                  kRecordBytes, kLag));
   }
-  const double spill_speedup = sync_s / async_s;
-  std::printf("async/sync speedup: %.2fx\n", spill_speedup);
-  json.AddRow("spill/speedup")->numbers["speedup"] = spill_speedup;
+  const double batches_per_s = kSpillBatches / spill_s;
+  std::printf("%-18s %8.3f s %14.0f\n", "sync", spill_s, batches_per_s);
+  auto* spill_row = json.AddRow("spill/sync");
+  spill_row->numbers["elapsed_s"] = spill_s;
+  spill_row->numbers["batches_per_s"] = batches_per_s;
 
   const Status s = json.WriteTo(JsonPathArg(argc, argv));
   if (!s.ok()) {

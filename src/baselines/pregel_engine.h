@@ -188,7 +188,7 @@ class PregelEngine {
           while (!des.AtEnd()) {
             VertexId v = 0;
             GT_CHECK_OK(des.Read(&v));
-            MsgT msg;
+            MsgT msg{};
             GT_CHECK_OK(Codec<MsgT>::Decode(des, &msg));
             inbox[dst][v].push_back(std::move(msg));
           }

@@ -289,7 +289,6 @@ class Cluster {
                 workers[i]->SampleQueueDepth(),
                 workers[i]->SampleDiskTasks(),
                 hub.InboxDepth(first + i),
-                workers[i]->SampleSpillQueueDepth(),
             };
             for (size_t s = 0; s < kNumSeries; ++s) {
               sampled[i][s].Append(t, values[s]);
@@ -374,7 +373,6 @@ class Cluster {
             field("tasks_live", s.live_tasks);
             field("queue_depth", s.queue_depth);
             field("disk_tasks", s.disk_tasks);
-            field("spill_queue_depth", s.spill_queue_depth);
             field("cache_size", s.cache_size);
             field("inbox_depth", hub.InboxDepth(first + i));
             field("peak_mem_bytes", s.peak_mem_bytes);
@@ -383,10 +381,6 @@ class Cluster {
                          ? 1.0 - static_cast<double>(s.comper_idle_rounds) /
                                      static_cast<double>(s.comper_rounds)
                          : 0.0);
-            w.Key("pinned_cpus");
-            w.BeginArray();
-            for (int cpu : s.pinned_cpus) w.Int(cpu);
-            w.EndArray();
             w.EndObject();
           }
           w.EndArray();

@@ -165,11 +165,6 @@ struct JobConfig {
     int cache_segment_shift = 0;
   };
   LayoutConfig layout;
-  /// Pin comper threads to cores (pthread_setaffinity_np), assigning global
-  /// comper slots to CPUs in NUMA-node-major order so a worker's compers
-  /// share a node with the T_cache buckets they hammer. Per-comper pin
-  /// status lands in the obs registry (comper.pinned_cpu) and /status.json.
-  bool comper_pinning = false;
 
   // ---- communication (grouped; see CommConfig above) ----
   CommConfig comm;
@@ -240,12 +235,6 @@ struct JobConfig {
   // ---- durability ----
   /// Directory for task spill files; empty = fresh temp dir per job.
   std::string spill_root;
-  /// Spill writes/reads go through a per-worker writer/prefetcher thread
-  /// (storage/async_spill.h): queue overflow hands the batch off instead of
-  /// blocking the comper, and the next L_file refill is staged in memory
-  /// ahead of demand. Off reproduces the synchronous spill path exactly
-  /// (the ablation baseline for bench/cache_micro).
-  bool spill_async = true;
   /// Checkpoint period (0 = off) and target directory (MiniDfs root).
   int64_t checkpoint_interval_us = 0;
   std::string checkpoint_dir;

@@ -24,11 +24,9 @@
 #include "core/pull_coalescer.h"
 #include "core/response_cache.h"
 #include "core/vertex_cache.h"
-#include "graph/layout.h"
 #include "net/comm_hub.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "storage/async_spill.h"
 #include "storage/file_list.h"
 #include "storage/mini_dfs.h"
 #include "storage/spill_file.h"
@@ -85,26 +83,9 @@ class Worker {
     split_children_ = metrics_.GetCounter("split.children");
     split_depth_us_ = metrics_.GetHistogram("split.depth");
     phase_steal_us_ = metrics_.GetCounter("phase.steal_us");
-    if (config_.spill_async) {
-      spill_io_ = std::make_unique<AsyncSpillIo>(&l_file_);
-      // Disk timings land in the same histograms the synchronous path
-      // records into, so spill.write_us / read_us stay comparable across
-      // the spill_async ablation.
-      spill_io_->SetWriteObserver([this](int64_t us, int64_t bytes) {
-        spill_write_us_->Record(us);
-        spill_write_bytes_->Add(bytes);
-      });
-      spill_io_->SetReadObserver([this](int64_t us, int64_t bytes) {
-        spill_read_us_->Record(us);
-        spill_read_bytes_->Add(bytes);
-      });
-      spill_io_->Start();
-    }
     for (int i = 0; i < config_.compers_per_worker; ++i) {
       engines_.push_back(std::make_unique<ComperEngine>(this, i, factory()));
     }
-    pinned_cpus_ = std::vector<std::atomic<int>>(engines_.size());
-    for (auto& p : pinned_cpus_) p.store(-1, std::memory_order_relaxed);
     steal_comper_ = factory();
     steal_runtime_ = std::make_unique<StealRuntime>(this);
     steal_comper_->BindRuntime(steal_runtime_.get());
@@ -153,7 +134,7 @@ class Worker {
     std::vector<std::string> batch;
     auto flush_batch = [this, &batch]() -> Status {
       const int64_t count = static_cast<int64_t>(batch.size());
-      const std::string path = SpillWrite(std::move(batch));
+      const std::string path = SpillWrite(batch);
       batch.clear();
       live_tasks_.fetch_add(count);
       tasks_restored_.fetch_add(count, std::memory_order_relaxed);
@@ -184,21 +165,8 @@ class Worker {
     started_ = true;
     compers_running_.store(static_cast<int>(engines_.size()),
                            std::memory_order_release);
-    for (size_t i = 0; i < engines_.size(); ++i) {
-      threads_.emplace_back([this, e = engines_[i].get(), i] {
-        if (config_.comper_pinning) {
-          // Global comper slot -> NUMA-node-major CPU: worker w's compers
-          // land on consecutive CPUs of one node before spilling to the
-          // next, so they share the LLC slice their T_cache segments live
-          // in. -1 records a failed/unsupported pin (gauge + /status.json).
-          static const std::vector<int> cpu_order = NumaMajorCpuOrder();
-          const int slot =
-              id_ * config_.compers_per_worker + static_cast<int>(i);
-          pinned_cpus_[i].store(PinCurrentThreadToSlot(slot, cpu_order),
-                                std::memory_order_relaxed);
-        }
-        e->Loop();
-      });
+    for (auto& engine : engines_) {
+      threads_.emplace_back([e = engine.get()] { e->Loop(); });
     }
     threads_.emplace_back([this] { CommLoop(); });
     threads_.emplace_back([this] { GcLoop(); });
@@ -209,9 +177,6 @@ class Worker {
       if (t.joinable()) t.join();
     }
     threads_.clear();
-    // After the compers and comm thread exit nothing can submit spill work;
-    // drain whatever is still queued and retire the writer thread.
-    if (spill_io_ != nullptr) spill_io_->Stop();
   }
 
   /// True once the final progress report has been sent (job over).
@@ -519,7 +484,7 @@ class Worker {
           // Keep original queue order inside the file.
           records[batch - 1 - i] = ser.Release();
         }
-        const std::string path = worker_->SpillWrite(std::move(records));
+        const std::string path = worker_->SpillWrite(records);
         worker_->l_file_.PushBack(path, static_cast<int64_t>(batch));
         worker_->spilled_batches_.fetch_add(1, std::memory_order_relaxed);
         worker_->tasks_spilled_.fetch_add(static_cast<int64_t>(batch),
@@ -806,14 +771,10 @@ class Worker {
     return OwnerOf(v, config_.num_workers) == id_;
   }
 
-  /// Writes one spill batch and returns its path. With spill_async the
-  /// records are handed to the writer thread and the call returns as soon as
-  /// the path is reserved (the path is immediately valid for SpillFetch and
-  /// L_file); otherwise this is the original blocking write.
-  std::string SpillWrite(std::vector<std::string> records) {
-    if (spill_io_ != nullptr) {
-      return spill_io_->Submit(spill_dir_, std::move(records));
-    }
+  /// Writes one spill batch to its own file (§V-B) and returns the path. The
+  /// write is synchronous, so the file is on disk before the caller lists it
+  /// in L_file.
+  std::string SpillWrite(const std::vector<std::string>& records) {
     std::string path;
     int64_t bytes = 0;
     Timer write_timer;
@@ -823,12 +784,10 @@ class Worker {
     return path;
   }
 
-  /// Reads one spill batch back and removes it (memory-served batches never
-  /// hit disk; disk files are deleted). Counterpart of SpillWrite for
-  /// Refill and DonateTasks.
+  /// Reads one spill batch back and deletes its file. Counterpart of
+  /// SpillWrite for Refill and DonateTasks.
   Status SpillFetch(const std::string& path,
                     std::vector<std::string>* records) {
-    if (spill_io_ != nullptr) return spill_io_->Fetch(path, records);
     int64_t bytes = 0;
     Timer read_timer;
     GT_RETURN_IF_ERROR(SpillFile::ReadBatchAndDelete(path, records, &bytes));
@@ -1158,7 +1117,7 @@ class Worker {
           tasks_received_.fetch_add(static_cast<int64_t>(records.size()),
                                     std::memory_order_relaxed);
           const int64_t count = static_cast<int64_t>(records.size());
-          const std::string path = SpillWrite(std::move(records));
+          const std::string path = SpillWrite(records);
           l_file_.PushBack(path, count);
           stolen_batches_.fetch_add(1, std::memory_order_relaxed);
           Record({.kind = obs::EventKind::kStealReceive,
@@ -1312,7 +1271,7 @@ class Worker {
     }
     if (!keep.empty()) {
       const auto kept = static_cast<int64_t>(keep.size());
-      const std::string path = SpillWrite(std::move(keep));
+      const std::string path = SpillWrite(keep);
       l_file_.PushBack(path, kept);
       // The parents hit disk like any spilled batch; counting them keeps
       // spilled/loaded symmetric when the refill path reloads them.
@@ -1419,11 +1378,6 @@ class Worker {
     }
     std::vector<std::string> records;
     for (auto& engine : engines_) engine->CollectCheckpointRecords(&records);
-    // Durability barrier: the snapshot below reads spill files from disk
-    // without popping them, so every batch the async writer still holds must
-    // land first. (The kTaskBatch quiesce already ran master-side, and the
-    // compers are parked, so nothing new can be submitted meanwhile.)
-    if (spill_io_ != nullptr) spill_io_->Flush();
     // Spilled files are checkpointed by content (they stay on local disk for
     // the continuing run, which a failure would wipe).
     for (const FileList::Entry& entry : l_file_.Snapshot()) {
@@ -1513,9 +1467,6 @@ class Worker {
     }
     return depth;
   }
-  int64_t SampleSpillQueueDepth() const {
-    return spill_io_ != nullptr ? spill_io_->QueueDepth() : 0;
-  }
 
   /// Point-in-time progress of this worker for the live status server.
   /// Every field is one (or a few) relaxed atomic reads — safe to call from
@@ -1524,7 +1475,6 @@ class Worker {
     int64_t live_tasks = 0;
     int64_t queue_depth = 0;
     int64_t disk_tasks = 0;
-    int64_t spill_queue_depth = 0;
     int64_t cache_size = 0;
     int64_t cache_hits = 0;
     int64_t cache_requests = 0;
@@ -1536,8 +1486,6 @@ class Worker {
     int64_t stolen_batches = 0;
     int64_t splits = 0;
     int64_t peak_mem_bytes = 0;
-    /// Per-comper pinned CPU IDs (-1 = unpinned); see comper_pinning.
-    std::vector<int> pinned_cpus;
   };
 
   LiveStatus SampleLiveStatus() const {
@@ -1545,7 +1493,6 @@ class Worker {
     s.live_tasks = SampleLiveTasks();
     s.queue_depth = SampleQueueDepth();
     s.disk_tasks = SampleDiskTasks();
-    s.spill_queue_depth = SampleSpillQueueDepth();
     s.cache_size = SampleCacheSize();
     s.cache_hits = cache_.stats().hits.load(std::memory_order_relaxed);
     s.cache_requests =
@@ -1560,10 +1507,6 @@ class Worker {
     s.stolen_batches = stolen_batches_.load(std::memory_order_relaxed);
     s.splits = split_count_->value();
     s.peak_mem_bytes = mem_.peak();
-    s.pinned_cpus.reserve(pinned_cpus_.size());
-    for (const auto& p : pinned_cpus_) {
-      s.pinned_cpus.push_back(p.load(std::memory_order_relaxed));
-    }
     return s;
   }
 
@@ -1607,27 +1550,9 @@ class Worker {
     set("spill.batches", spilled_batches_.load(std::memory_order_relaxed));
     set("steal.batches_received",
         stolen_batches_.load(std::memory_order_relaxed));
-    if (spill_io_ != nullptr) {
-      const auto& ss = spill_io_->stats();
-      set("spill.mem_hits", ss.mem_hits.load(std::memory_order_relaxed));
-      set("spill.prefetch_hits",
-          ss.prefetch_hits.load(std::memory_order_relaxed));
-      set("spill.prefetch_reads",
-          ss.prefetch_reads.load(std::memory_order_relaxed));
-      // Peak writer-queue depth over the run (the live value is also on the
-      // master sampler's spill_queue_depth series).
-      metrics_.GetGauge("spill.queue_depth")
-          ->Set(ss.peak_queue_depth.load(std::memory_order_relaxed));
-    }
     for (const auto& engine : engines_) {
       metrics_.GetGauge("comper.idle_rounds")->Add(engine->IdleRounds());
       metrics_.GetGauge("comper.rounds")->Add(engine->Rounds());
-    }
-    // Per-comper pin status (JobConfig::comper_pinning): the CPU the comper
-    // thread was pinned to, -1 = unpinned (knob off, or the pin failed).
-    for (size_t i = 0; i < pinned_cpus_.size(); ++i) {
-      metrics_.GetGauge("comper.pinned_cpu", "comper=" + std::to_string(i))
-          ->Set(pinned_cpus_[i].load(std::memory_order_relaxed));
     }
   }
 
@@ -1649,21 +1574,12 @@ class Worker {
   MemTracker mem_;
   VertexCache<VertexT> cache_;  // T_cache
   FileList l_file_;             // L_file
-  /// Spill writer/prefetcher thread (JobConfig::spill_async); null in the
-  /// synchronous ablation. Declared after l_file_ (it holds a pointer to it)
-  /// and constructed in the ctor body once the obs histograms exist.
-  std::unique_ptr<AsyncSpillIo> spill_io_;
   AggregatorState<ComperT> agg_;
 
   std::vector<std::unique_ptr<ComperEngine>> engines_;
   std::unique_ptr<ComperT> steal_comper_;
   std::unique_ptr<StealRuntime> steal_runtime_;
   std::mutex steal_mutex_;
-
-  /// Per-comper pinned CPU (-1 = unpinned); written once by each comper
-  /// thread on startup when comper_pinning is on, read by the sampler and
-  /// FinalizeObs.
-  std::vector<std::atomic<int>> pinned_cpus_;
 
   /// Per-destination pull batching + in-window dedup (compers add, comm
   /// thread flushes).

@@ -73,20 +73,6 @@ class VertexLayout {
 int DeriveCacheSegmentShift(const Graph& g, int64_t llc_segment_bytes,
                             int num_buckets);
 
-/// Online CPU IDs in NUMA-node-major order (all of node0, then node1, ...),
-/// read from /sys/devices/system/node/node*/cpulist. Falls back to a linear
-/// 0..hardware_concurrency-1 order when sysfs is unavailable.
-std::vector<int> NumaMajorCpuOrder();
-
-/// Pins the calling thread to one CPU. Returns the CPU on success, -1 when
-/// pinning is unsupported or rejected by the kernel.
-int PinCurrentThreadToCpu(int cpu);
-
-/// Pins the calling thread to cpu_order[slot % cpu_order.size()]: global
-/// comper slot -> NUMA-node-major CPU assignment. Returns the chosen CPU on
-/// success, -1 on failure or an empty order.
-int PinCurrentThreadToSlot(int global_slot, const std::vector<int>& cpu_order);
-
 }  // namespace gthinker
 
 #endif  // GTHINKER_GRAPH_LAYOUT_H_

@@ -14,8 +14,8 @@ namespace gthinker::obs {
 /// the expected `timeseries` count (workers x this) from its size instead
 /// of hardcoding it.
 inline constexpr const char* kWorkerSampledGauges[] = {
-    "cache_size",  "live_tasks",  "queue_depth",
-    "disk_tasks",  "inbox_depth", "spill_queue_depth",
+    "cache_size", "live_tasks",  "queue_depth",
+    "disk_tasks", "inbox_depth",
 };
 inline constexpr size_t kNumWorkerSampledGauges =
     sizeof(kWorkerSampledGauges) / sizeof(kWorkerSampledGauges[0]);

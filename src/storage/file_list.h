@@ -72,17 +72,6 @@ class FileList {
 
   bool Empty() const { return Size() == 0; }
 
-  /// Peeks at the next refill candidate without removing it — the async
-  /// spill prefetcher uses this to start reading the batch a comper's next
-  /// Refill will ask for. Racing with TryPopFront is benign: a stale peek
-  /// just prefetches a batch that a donation already took, and Fetch falls
-  /// back to disk for the one that replaced it.
-  std::optional<Entry> PeekFront() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (files_.empty()) return std::nullopt;
-    return files_.front();
-  }
-
   std::deque<Entry> Snapshot() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return files_;

@@ -16,35 +16,26 @@ std::atomic<uint64_t> g_spill_counter{0};
 
 }  // namespace
 
-std::string SpillFile::ReservePath(const std::string& dir) {
-  const uint64_t id = g_spill_counter.fetch_add(1);
-  return dir + "/spill_" + std::to_string(id) + ".bin";
-}
-
-Status SpillFile::WriteBatchTo(const std::string& path,
-                               const std::vector<std::string>& records,
-                               int64_t* bytes) {
+Status SpillFile::WriteBatch(const std::string& dir,
+                             const std::vector<std::string>& records,
+                             std::string* path, int64_t* bytes) {
+  *path = dir + "/spill_" + std::to_string(g_spill_counter.fetch_add(1)) +
+          ".bin";
   Serializer ser;
   ser.Write<uint64_t>(records.size());
   for (const std::string& r : records) {
     ser.WriteString(r);
   }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  std::ofstream out(*path, std::ios::binary | std::ios::trunc);
   if (!out) {
-    return Status::IoError("open spill " + path + ": " + std::strerror(errno));
+    return Status::IoError("open spill " + *path + ": " +
+                           std::strerror(errno));
   }
   out.write(ser.data(), static_cast<std::streamsize>(ser.size()));
   out.flush();
-  if (!out) return Status::IoError("write spill " + path);
+  if (!out) return Status::IoError("write spill " + *path);
   if (bytes != nullptr) *bytes = static_cast<int64_t>(ser.size());
   return Status::Ok();
-}
-
-Status SpillFile::WriteBatch(const std::string& dir,
-                             const std::vector<std::string>& records,
-                             std::string* path, int64_t* bytes) {
-  *path = ReservePath(dir);
-  return WriteBatchTo(*path, records, bytes);
 }
 
 Status SpillFile::ReadBatch(const std::string& path,

@@ -38,8 +38,7 @@ class Serializer {
   void Write(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "Write requires a trivially copyable type");
-    Reserve(sizeof(T));
-    std::memcpy(slab_.data() + size_, &value, sizeof(T));
+    std::memcpy(Reserve(sizeof(T)), &value, sizeof(T));
     size_ += sizeof(T);
   }
 
@@ -58,8 +57,7 @@ class Serializer {
 
   void WriteBytes(const void* data, size_t n) {
     if (n == 0) return;
-    Reserve(n);
-    std::memcpy(slab_.data() + size_, data, n);
+    std::memcpy(Reserve(n), data, n);
     size_ += n;
   }
 
@@ -87,12 +85,25 @@ class Serializer {
   void Clear() { size_ = 0; }
 
  private:
-  void Reserve(size_t n) {
-    const size_t need = size_ + n;
-    if (need <= slab_.capacity()) return;
+  /// Returns where the next n bytes go, growing the slab when they do not
+  /// fit. The fast path reads the Slab directly rather than through
+  /// SlabRef::data(), whose null branch GCC would otherwise follow into the
+  /// caller's memcpy and flag (-Warray-bounds / -Wstringop-overflow).
+  char* Reserve(size_t n) {
+    const Slab* slab = slab_.get();
+    if (slab != nullptr && size_ + n <= slab->capacity) {
+      return slab->data + size_;
+    }
+    return Grow(size_ + n) + size_;
+  }
+
+  /// Moves the encoded bytes into a slab of at least `need` bytes and
+  /// returns its start.
+  char* Grow(size_t need) {
     SlabRef bigger(BufferPool::Global().Acquire(need));
     if (size_ > 0) std::memcpy(bigger.data(), slab_.data(), size_);
     slab_ = std::move(bigger);
+    return slab_.get()->data;
   }
 
   SlabRef slab_;

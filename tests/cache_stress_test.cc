@@ -1,6 +1,6 @@
 // Multithreaded stress for the T_cache hot path (batched OP1/OP3, intrusive
-// Z-list, in-place R→Γ flips) and the async spill pipeline. Runs under the
-// GT_SANITIZE=thread CI job: TSan must see no races between concurrent
+// Z-list, in-place R→Γ flips). Runs under the GT_SANITIZE=thread CI job:
+// TSan must see no races between concurrent
 // RequestBatch/ReleaseBatch/InsertResponse/EvictUpTo, and the conservation
 // checks below must hold exactly.
 
@@ -14,10 +14,6 @@
 #include <vector>
 
 #include "core/vertex_cache.h"
-#include "storage/async_spill.h"
-#include "storage/file_list.h"
-#include "storage/mini_dfs.h"
-#include "storage/spill_file.h"
 
 namespace gthinker {
 namespace {
@@ -351,95 +347,6 @@ void RunEvictOnlyUnlocked(bool use_z_table) {
 
 TEST(CacheStress, ZListEvictsOnlyUnlocked) { RunEvictOnlyUnlocked(true); }
 TEST(CacheStress, FullScanEvictsOnlyUnlocked) { RunEvictOnlyUnlocked(false); }
-
-/// Async spill pipeline stress: a producer submits batches and a consumer
-/// fetches them back through every path (pending mem-hit, in-flight wait,
-/// prefetch hit, cold disk read) while periodic Flush calls force
-/// checkpoint-style durability barriers. Every batch must come back exactly
-/// once with exact contents.
-TEST(CacheStress, AsyncSpillRoundTrips) {
-  const std::string dir = MakeTempDir("async_spill_stress");
-  FileList l_file;
-  AsyncSpillIo io(&l_file);
-  io.Start();
-
-  constexpr int kBatches = 120;
-  constexpr int kRecordsPerBatch = 16;
-  std::atomic<int64_t> records_back{0};
-
-  std::thread producer([&] {
-    for (int b = 0; b < kBatches; ++b) {
-      std::vector<std::string> records;
-      for (int r = 0; r < kRecordsPerBatch; ++r) {
-        records.push_back("batch" + std::to_string(b) + "_rec" +
-                          std::to_string(r));
-      }
-      const std::string path = io.Submit(dir, std::move(records));
-      l_file.PushBack(path, kRecordsPerBatch);
-      if (b % 7 == 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-      if (b % 31 == 0) io.Flush();  // checkpoint-style durability barrier
-    }
-  });
-
-  std::thread consumer([&] {
-    int consumed = 0;
-    while (consumed < kBatches) {
-      auto entry = l_file.TryPopFront();
-      if (!entry) {
-        std::this_thread::sleep_for(std::chrono::microseconds(30));
-        continue;
-      }
-      std::vector<std::string> records;
-      int64_t bytes = 0;
-      EXPECT_TRUE(io.Fetch(entry->path, &records, &bytes).ok());
-      EXPECT_EQ(static_cast<int64_t>(records.size()), entry->records);
-      EXPECT_GT(bytes, 0);
-      records_back.fetch_add(static_cast<int64_t>(records.size()));
-      ++consumed;
-    }
-  });
-
-  producer.join();
-  consumer.join();
-  io.Flush();
-  EXPECT_EQ(records_back.load(), int64_t{kBatches} * kRecordsPerBatch);
-  EXPECT_EQ(io.QueueDepth(), 0);
-  const auto& stats = io.stats();
-  // Every batch came back through exactly one of the three read paths.
-  EXPECT_EQ(stats.mem_hits.load() + stats.prefetch_hits.load() +
-                stats.reads.load(),
-            kBatches);
-  io.Stop();
-  EXPECT_TRUE(l_file.Empty());
-  RemoveTree(dir);
-}
-
-/// spill_async=false ablation parity at the storage layer: a batch drained
-/// to disk by the async writer is byte-identical to a synchronous write.
-TEST(CacheStress, AsyncWriterMatchesSyncFormat) {
-  const std::string dir = MakeTempDir("async_spill_format");
-  std::vector<std::string> records = {"alpha", "bravo", std::string(1000, 'x'),
-                                      ""};
-  std::string sync_path;
-  int64_t sync_bytes = 0;
-  ASSERT_TRUE(
-      SpillFile::WriteBatch(dir, records, &sync_path, &sync_bytes).ok());
-  // Async write, flushed to disk (not fetched, so it cannot mem-hit).
-  AsyncSpillIo io;
-  io.Start();
-  const std::string async_path = io.Submit(dir, records);
-  io.Flush();
-  std::vector<std::string> back;
-  int64_t async_bytes = 0;
-  ASSERT_TRUE(
-      SpillFile::ReadBatchAndDelete(async_path, &back, &async_bytes).ok());
-  EXPECT_EQ(back, records);
-  EXPECT_EQ(async_bytes, sync_bytes);
-  io.Stop();
-  RemoveTree(dir);
-}
 
 }  // namespace
 }  // namespace gthinker

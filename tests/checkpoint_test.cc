@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "apps/kernels.h"
 #include "apps/maxclique_app.h"
@@ -198,6 +200,81 @@ TEST(Checkpoint, ResumeFreshFromEpochWorksForMaxClique) {
     auto result = Cluster<MaxCliqueComper>::Run(job);
     EXPECT_EQ(result.result.size(), truth);
   }
+  RemoveTree(dir);
+}
+
+/// Expands each root (every 16th vertex) into a `fanout`-ary task tree of
+/// `depth` levels via AddTask, without pulls, and counts the leaves. With a
+/// small task_batch_size the expanding tree overflows Q_task, so spill
+/// batches sit in L_file while the master takes checkpoints.
+class TreeComper : public Comper<Task<AdjList, uint32_t>, uint64_t> {
+ public:
+  TreeComper(uint32_t depth, uint32_t fanout)
+      : depth_(depth), fanout_(fanout) {}
+
+  void TaskSpawn(const VertexT& v) override {
+    if (v.id % 16 != 0) return;
+    auto task = std::make_unique<TaskT>();
+    task->context() = 0;
+    AddTask(std::move(task));
+  }
+
+  bool Compute(TaskT* task, const Frontier&) override {
+    if (task->context() == depth_) {
+      // Stretch the job over several checkpoint periods.
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      Aggregate(1);
+      return false;
+    }
+    for (uint32_t i = 0; i < fanout_; ++i) {
+      auto child = std::make_unique<TaskT>();
+      child->context() = task->context() + 1;
+      AddTask(std::move(child));
+    }
+    return false;
+  }
+
+  static AggT AggZero() { return 0; }
+  static AggT AggMerge(AggT a, AggT b) { return a + b; }
+
+ private:
+  const uint32_t depth_;
+  const uint32_t fanout_;
+};
+
+// DoCheckpoint snapshots L_file by reading every listed spill file from disk.
+// Checkpoints taken while spilled batches are listed must find each file
+// complete (the snapshot's task count is checked against the live-task
+// ledger) and leave the run's answer and conservation intact.
+TEST(Checkpoint, CheckpointsReadSpilledBatchesFromDisk) {
+  Graph g(64);
+  g.Finalize();
+  const std::string dir = MakeTempDir("ckpt");
+  MiniDfs dfs(dir);
+
+  Job<TreeComper> job;
+  job.config.num_workers = 2;
+  job.config.compers_per_worker = 2;
+  job.config.task_batch_size = 8;  // spill the expanding tree
+  job.config.inflight_task_cap = 64;
+  job.config.checkpoint_interval_us = 2'000;
+  job.graph = &g;
+  job.checkpoint_dfs = &dfs;
+  job.comper_factory = [] { return std::make_unique<TreeComper>(6, 3); };
+  auto result = Cluster<TreeComper>::Run(job);
+  // 4 roots (ids 0, 16, 32, 48), each with 3^6 leaves.
+  EXPECT_EQ(result.result, 4u * 729u);
+  EXPECT_GT(result.stats.spilled_batches, 0);
+  ASSERT_GT(result.stats.checkpoints, 0);
+  EXPECT_EQ(result.stats.tasks_spawned, result.stats.tasks_finished);
+
+  // Resuming from the last checkpoint re-spills its records and must still
+  // count every leaf exactly once.
+  job.config.checkpoint_interval_us = 0;
+  job.resume_epoch = result.stats.checkpoints;
+  auto resumed = Cluster<TreeComper>::Run(job);
+  EXPECT_EQ(resumed.result, 4u * 729u);
+  EXPECT_EQ(resumed.stats.tasks_lost, 0);
   RemoveTree(dir);
 }
 

@@ -3,7 +3,7 @@
 // of the mining apps are differentially identical to unreordered ones (counts
 // and clique sizes, with the ledger conserved), including under aggressive
 // splitting and across a 2-process TCP RunDistributed; results that carry
-// vertex IDs come back in ORIGINAL ids; and the layout/pinning knobs obey
+// vertex IDs come back in ORIGINAL ids; and the layout knobs obey
 // their Validate rules.
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/kclique_app.h"
@@ -134,22 +133,6 @@ TEST(VertexLayoutTest, SegmentShiftDerivation) {
   EXPECT_EQ(DeriveCacheSegmentShift(Graph(), 2 << 20, 64), 0);
 }
 
-TEST(VertexLayoutTest, PinningHelpersAreSafe) {
-  const std::vector<int> order = NumaMajorCpuOrder();
-  ASSERT_FALSE(order.empty());
-  // Pin inside a scratch thread: affinity is per-thread, and the gtest main
-  // thread must stay unpinned for the rest of the binary.
-  int cpu = -2;
-  std::thread pin([&] { cpu = PinCurrentThreadToSlot(0, order); });
-  pin.join();
-#if defined(__linux__)
-  EXPECT_EQ(cpu, order[0]);
-#else
-  EXPECT_EQ(cpu, -1);
-#endif
-  EXPECT_EQ(PinCurrentThreadToSlot(3, {}), -1);
-}
-
 // ---------------------------------------------------------------------------
 // Config validation.
 // ---------------------------------------------------------------------------
@@ -166,7 +149,6 @@ TEST(LayoutConfig, ValidationRejectsBadKnobs) {
   EXPECT_FALSE(config.Validate().ok());
   config = JobConfig();
   config.layout.reorder = true;
-  config.comper_pinning = true;
   EXPECT_TRUE(config.Validate().ok());
 }
 

@@ -226,7 +226,6 @@ TEST(PhaseProfileE2E, SpillInsideComputeIsNotDoubleCounted) {
   job.config.compers_per_worker = 2;
   job.config.task_batch_size = 2;
   job.config.task_queue_capacity_batches = 2;
-  job.config.spill_async = false;  // the spill write runs inside AddTask
   job.config.enable_stealing = false;
   job.graph = &g;
   job.comper_factory = [] { return std::make_unique<SpillInComputeComper>(); };

@@ -111,26 +111,6 @@ TEST(SpillFileTest, MissingFileIsNotFound) {
   EXPECT_TRUE(SpillFile::ReadBatch("/no/such/file", &out).IsNotFound());
 }
 
-TEST(SpillFileTest, ReservePathThenWriteMatchesWriteBatch) {
-  // The async writer's split protocol (reserve the unique name now, write
-  // the bytes later) must produce the same files WriteBatch does.
-  const std::string dir = MakeTempDir("spill");
-  const std::string reserved = SpillFile::ReservePath(dir);
-  const std::string reserved2 = SpillFile::ReservePath(dir);
-  EXPECT_NE(reserved, reserved2);  // names are unique even before writing
-  std::vector<std::string> records = {"x", std::string(500, 'y')};
-  int64_t bytes = 0;
-  ASSERT_TRUE(SpillFile::WriteBatchTo(reserved, records, &bytes).ok());
-  EXPECT_GT(bytes, 0);
-  std::vector<std::string> back;
-  int64_t read_bytes = 0;
-  ASSERT_TRUE(SpillFile::ReadBatchAndDelete(reserved, &back, &read_bytes)
-                  .ok());
-  EXPECT_EQ(back, records);
-  EXPECT_EQ(read_bytes, bytes);
-  RemoveTree(dir);
-}
-
 TEST(FileListTest, FifoFrontLifoBack) {
   FileList list;
   list.PushBack("a", 10);
@@ -168,21 +148,6 @@ TEST(FileListTest, SnapshotDoesNotDrain) {
   EXPECT_EQ(snap.size(), 2u);
   EXPECT_EQ(list.Size(), 2u);
   EXPECT_EQ(list.TotalRecords(), 3);
-}
-
-TEST(FileListTest, PeekFrontDoesNotRemove) {
-  FileList list;
-  EXPECT_FALSE(list.PeekFront().has_value());
-  list.PushBack("x", 5);
-  list.PushBack("y", 7);
-  auto peeked = list.PeekFront();
-  ASSERT_TRUE(peeked.has_value());
-  EXPECT_EQ(peeked->path, "x");
-  EXPECT_EQ(peeked->records, 5);
-  EXPECT_EQ(list.Size(), 2u);  // still there
-  auto popped = list.TryPopFront();
-  ASSERT_TRUE(popped.has_value());
-  EXPECT_EQ(popped->path, "x");  // peek saw the same entry the pop takes
 }
 
 TEST(FileListTest, ConcurrentPushPop) {

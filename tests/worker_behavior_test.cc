@@ -214,31 +214,7 @@ TEST(WorkerBehavior, DeepDecompositionCountsLeaves) {
   // 4 roots (ids 0,16,32,48), each expanding 3^5 leaves.
   EXPECT_EQ(result.result, 4u * 243u);
   EXPECT_GT(result.stats.spilled_batches, 0);
-}
-
-TEST(WorkerBehavior, SpillAsyncAblationIsEquivalent) {
-  // The same spill-heavy job must produce identical results and conserve
-  // tasks with the async writer/prefetcher on (default) and off (the
-  // synchronous ablation path).
-  for (const bool spill_async : {true, false}) {
-    Graph g(64);
-    g.Finalize();
-    Job<DeepDecomposeComper> job;
-    job.config.num_workers = 2;
-    job.config.compers_per_worker = 2;
-    job.config.task_batch_size = 8;  // force heavy spilling
-    job.config.spill_async = spill_async;
-    job.graph = &g;
-    job.comper_factory = [] {
-      return std::make_unique<DeepDecomposeComper>(5, 3);
-    };
-    auto result = Cluster<DeepDecomposeComper>::Run(job);
-    EXPECT_EQ(result.result, 4u * 243u) << "spill_async=" << spill_async;
-    EXPECT_GT(result.stats.spilled_batches, 0)
-        << "spill_async=" << spill_async;
-    EXPECT_EQ(result.stats.tasks_spawned, result.stats.tasks_finished)
-        << "spill_async=" << spill_async;
-  }
+  EXPECT_EQ(result.stats.tasks_spawned, result.stats.tasks_finished);
 }
 
 /// Emits one task per SpawnFlush only (TaskSpawn just counts), verifying the
